@@ -14,14 +14,6 @@
 //	rstibench -pp        # pointer-to-pointer census only
 //	rstibench -parts     # nbench PARTS comparison only
 //
-// With -benchjson it instead runs the benchmark-trajectory harness: a
-// measurement pass over the host-side hot paths (cipher, PAC unit,
-// compiler stages, switch interpreter and direct-threaded tier, Figure 9
-// wall-clock) appended as one labelled datapoint to BENCH_RESULTS.json
-// (see -benchout/-benchlabel), building the repo's performance history:
-//
-//	rstibench -benchjson -benchlabel pr1
-//
 // With -secjson it runs the security-effectiveness harness instead:
 // equivalence-class partition statistics per workload × mechanism, the
 // attack synthesizer (derived tampers executed through the VM against
@@ -55,9 +47,6 @@ func main() {
 	parts := flag.Bool("parts", false, "nbench PARTS comparison (§6.3.2)")
 	ablations := flag.Bool("ablations", false, "design-choice ablation studies")
 	replay := flag.Bool("replay", false, "replay attack surface per mechanism (§7)")
-	benchjson := flag.Bool("benchjson", false, "run the benchmark-trajectory harness and append a datapoint")
-	benchout := flag.String("benchout", "BENCH_RESULTS.json", "trajectory file for -benchjson")
-	benchlabel := flag.String("benchlabel", "dev", "datapoint label for -benchjson")
 	secjson := flag.Bool("secjson", false, "run the security-effectiveness harness and append a datapoint")
 	secout := flag.String("secout", "SECURITY_RESULTS.json", "trajectory file for -secjson")
 	secmd := flag.String("secmd", "SECURITY.md", "markdown dashboard for -secjson (empty to skip)")
@@ -72,29 +61,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *benchjson {
-		rec, err := eval.MeasureBenchTrajectory(*benchlabel)
-		if err != nil {
-			fail(err)
-		}
-		// Compare against history from the same host shape before
-		// appending: a stage that slowed >25% vs the previous datapoint
-		// is the exact regression this file exists to catch.
-		prev, err := eval.ReadBenchRecords(*benchout)
-		if err != nil {
-			fail(err)
-		}
-		if err := eval.AppendBenchRecord(*benchout, rec); err != nil {
-			fail(err)
-		}
-		fmt.Println(rec.Summary())
-		for _, warn := range eval.TrajectoryWarnings(prev, rec, 0.25) {
-			fmt.Printf("WARNING: %s\n", warn)
-		}
-		fmt.Printf("appended to %s\n", *benchout)
-		return
-	}
-
 	if *secjson {
 		rec, err := eval.MeasureSecurity(*seclabel)
 		if err != nil {
@@ -102,8 +68,7 @@ func main() {
 		}
 		violations := eval.SecurityViolations(rec)
 		// The trajectory guard compares against history BEFORE appending;
-		// unlike the wall-clock bench guard this one is exact (the record
-		// is deterministic) and gates CI rather than warning.
+		// it is exact (the record is deterministic) and gates CI.
 		prev, err := report.ReadSecurityRecords(*secout)
 		if err != nil {
 			fail(err)

@@ -29,7 +29,6 @@ import (
 	"rsti/internal/cluster"
 	"rsti/internal/compilecache"
 	"rsti/internal/core"
-	"rsti/internal/eval"
 	"rsti/internal/rsti"
 	"rsti/internal/service"
 	"rsti/internal/sti"
@@ -103,7 +102,7 @@ var matrixMechs = []string{"none", "parts", "rsti-stwc", "rsti-stc", "rsti-stl",
 // driveCluster runs the whole cluster measurement and returns its
 // record. A non-nil record may accompany an error (partial results help
 // debugging a failed drive).
-func driveCluster(cfg clusterConfig) (*eval.ClusterLoadRecord, error) {
+func driveCluster(cfg clusterConfig) (*clusterReport, error) {
 	if cfg.CacheRoot == "" {
 		root, err := os.MkdirTemp("", "rstiload-cluster-*")
 		if err != nil {
@@ -204,7 +203,7 @@ func driveCluster(cfg clusterConfig) (*eval.ClusterLoadRecord, error) {
 	wall := time.Since(start)
 
 	// Fleet-wide accounting from every peer's /v1/metrics.
-	rec := &eval.ClusterLoadRecord{
+	rec := &clusterReport{
 		Peers:       cfg.Peers,
 		Sessions:    cfg.Sessions,
 		Concurrency: cfg.Concurrency,

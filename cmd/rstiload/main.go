@@ -15,7 +15,6 @@
 //	rstiload                                # 2000 sessions, 64-way concurrency
 //	rstiload -sessions 5000 -concurrency 128
 //	rstiload -url http://localhost:8080 -api-key k
-//	rstiload -benchjson -benchlabel pr7     # append a trajectory datapoint
 package main
 
 import (
@@ -33,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rsti/internal/eval"
 	"rsti/internal/service"
 )
 
@@ -230,7 +228,7 @@ func (c *loadClient) streamRun(body runReq) (*runResp, error) {
 }
 
 // drive runs the whole load test and summarizes it.
-func drive(cfg loadConfig) (*eval.LoadTestRecord, error) {
+func drive(cfg loadConfig) (*loadReport, error) {
 	base := cfg.URL
 	if base == "" {
 		queue := cfg.Queue
@@ -368,7 +366,7 @@ func drive(cfg loadConfig) (*eval.LoadTestRecord, error) {
 		hitRate = float64(cachedHits.Load()) / float64(n)
 	}
 
-	rec := &eval.LoadTestRecord{
+	rec := &loadReport{
 		Sessions:       cfg.Sessions,
 		Concurrency:    cfg.Concurrency,
 		Workers:        cfg.Workers,
@@ -379,12 +377,12 @@ func drive(cfg loadConfig) (*eval.LoadTestRecord, error) {
 		RequestsPerSec: float64(2*cfg.Sessions) / wall.Seconds(),
 		Errors:         int(errCount.Load()),
 		Mismatches:     int(mismatches.Load()),
-		CompileLatency: eval.Quantiles(compileLats),
-		RunLatency:     eval.Quantiles(runLats),
+		CompileLatency: quantiles(compileLats),
+		RunLatency:     quantiles(runLats),
 		CacheHitRate:   hitRate,
 	}
 	if len(streamLats) > 0 {
-		q := eval.Quantiles(streamLats)
+		q := quantiles(streamLats)
 		rec.StreamLatency = &q
 	}
 	if msg, ok := firstErr.Load().(string); ok && msg != "" {
@@ -407,9 +405,6 @@ func main() {
 	mechs := flag.String("mechanisms", "none,parts,rsti-stwc,rsti-stc,rsti-stl", "comma-separated mechanism rotation")
 	clusterN := flag.Int("cluster", 0,
 		"boot an N-peer in-process rstid fleet and measure cluster compile sharing + cold restart (0 = single-daemon drive)")
-	benchjson := flag.Bool("benchjson", false, "append the datapoint to the bench trajectory")
-	benchout := flag.String("benchout", "BENCH_RESULTS.json", "trajectory file for -benchjson")
-	benchlabel := flag.String("benchlabel", "dev", "datapoint label for -benchjson")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -436,29 +431,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if *benchjson {
-			prior, err := eval.ReadBenchRecords(*benchout)
-			if err != nil {
-				fail(err)
-			}
-			br := &eval.BenchRecord{
-				Label:       *benchlabel,
-				Timestamp:   time.Now().UTC().Format(time.RFC3339),
-				GoVersion:   runtime.Version(),
-				GOOS:        runtime.GOOS,
-				GOARCH:      runtime.GOARCH,
-				CPUs:        runtime.NumCPU(),
-				ClusterLoad: rec,
-			}
-			if err := eval.AppendBenchRecord(*benchout, br); err != nil {
-				fail(err)
-			}
-			fmt.Printf("appended cluster datapoint %q to %s (%d prior records)\n",
-				*benchlabel, *benchout, len(prior))
-			for _, w := range eval.TrajectoryWarnings(prior, br, 0.25) {
-				fmt.Println("WARNING:", w)
-			}
-		}
 		return
 	}
 
@@ -484,29 +456,5 @@ func main() {
 	}
 	if err != nil {
 		fail(err)
-	}
-
-	if *benchjson {
-		prior, err := eval.ReadBenchRecords(*benchout)
-		if err != nil {
-			fail(err)
-		}
-		br := &eval.BenchRecord{
-			Label:     *benchlabel,
-			Timestamp: time.Now().UTC().Format(time.RFC3339),
-			GoVersion: runtime.Version(),
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			CPUs:      runtime.NumCPU(),
-			LoadTest:  rec,
-		}
-		if err := eval.AppendBenchRecord(*benchout, br); err != nil {
-			fail(err)
-		}
-		fmt.Printf("appended load-test datapoint %q to %s (%d prior records)\n",
-			*benchlabel, *benchout, len(prior))
-		for _, w := range eval.TrajectoryWarnings(prior, br, 0.25) {
-			fmt.Println("WARNING:", w)
-		}
 	}
 }

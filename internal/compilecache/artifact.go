@@ -1,18 +1,16 @@
 // Artifact codec, format version 2: the persistent (and peer-transferable)
 // form of a compiled program *including its instrumented builds*.
 //
-// Version 1 stored only the lowered base program, so a cold-started daemon
-// skipped the frontend but still paid one instrumentation pass per
-// (mechanism, optimizer) flavor — and one predecode per image — before
-// serving its first run. Version 2 stores one section per flavor of the
-// standard build matrix (core.StandardFlavors): each section carries the
-// fully instrumented (and, for optimized flavors, optimizer-processed)
-// program plus its instrumentation and optimizer statistics. Reload seeds
-// every per-flavor build cell and predecodes both execution-tier images
-// off the request path, so the first run after a cold restart costs zero
-// instrumentation passes and zero predecodes — the PAC-it-up/PACTight
-// deployment argument (instrumentation as the dominant cost) amortized
-// once per *cluster* rather than once per process.
+// An artifact stores the lowered base program and one section per flavor
+// of the standard build matrix (core.StandardFlavors): each section
+// carries the fully instrumented (and, for optimized flavors,
+// optimizer-processed) program plus its instrumentation and optimizer
+// statistics. Reload seeds every per-flavor build cell and predecodes
+// both execution-tier images off the request path, so the first run
+// after a cold restart costs zero instrumentation passes and zero
+// predecodes — the PAC-it-up/PACTight deployment argument
+// (instrumentation as the dominant cost) amortized once per *cluster*
+// rather than once per process.
 //
 // Artifact layout (all integrity-checked on load):
 //
@@ -24,9 +22,9 @@
 // Sections are self-contained mir.EncodeProgram payloads: the modifier
 // values PAC enforcement keys on are baked into the instrumented
 // instructions, so a section replays bit-identically without re-running
-// the STI analysis. Version-1 artifacts (magic "RSTIART\x01") still
-// decode — base program only, builds materialize lazily as before — so a
-// directory written by an older daemon keeps serving across the upgrade.
+// the STI analysis. Any other format version, including the base-only
+// version 1 (magic "RSTIART\x01"), fails the header check: the disk cache
+// counts it as damage, recompiles, and rewrites the file as version 2.
 package compilecache
 
 import (
@@ -122,32 +120,18 @@ func EncodeArtifact(comp *core.Compilation) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeArtifact reconstitutes a compilation from artifact bytes,
-// accepting both format versions. Any validation failure — bad magic,
-// checksum mismatch, codec version skew, a section program that fails
-// Verify — is an error; the caller treats it as a cache miss and
-// recompiles, so damage can cost a compile, never correctness.
+// decodeArtifact reconstitutes a compilation from artifact bytes. Any
+// validation failure — bad magic or format version, checksum mismatch,
+// codec version skew, a section program that fails Verify — is an
+// error; the caller treats it as a cache miss and recompiles, so damage
+// can cost a compile, never correctness.
 func decodeArtifact(raw []byte) (*core.Compilation, error) {
-	if len(raw) < 40 {
-		return nil, fmt.Errorf("compilecache: bad artifact header")
-	}
-	magic := [8]byte(raw[:8])
-	v1 := magic
-	v1[7] = 1
-	if magic != artifactMagic && magic != v1 {
+	if len(raw) < 40 || [8]byte(raw[:8]) != artifactMagic {
 		return nil, fmt.Errorf("compilecache: bad artifact header")
 	}
 	payload := raw[40:]
 	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], raw[8:40]) {
 		return nil, fmt.Errorf("compilecache: artifact checksum mismatch")
-	}
-	if magic == v1 {
-		// Legacy base-only artifact: builds materialize lazily.
-		prog, err := mir.DecodeProgram(bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		return core.FromProgram(prog)
 	}
 
 	var dto artifactDTO

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"rsti/internal/core"
-	"rsti/internal/mir"
 	"rsti/internal/rsti"
 	"rsti/internal/vm"
 )
@@ -140,54 +139,6 @@ func TestArtifactDeterministicEncoding(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("independent encodes differ: %d vs %d bytes, sha %x vs %x",
 			len(a), len(b), sha256.Sum256(a), sha256.Sum256(b))
-	}
-}
-
-// TestArtifactV1Decode: a legacy base-only artifact (magic version 1)
-// still loads — builds then materialize lazily, exactly the pre-upgrade
-// behaviour — so a cache directory written by an older daemon keeps
-// serving across the upgrade.
-func TestArtifactV1Decode(t *testing.T) {
-	comp, err := core.Compile(artifactSrc)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	var payload bytes.Buffer
-	if err := mir.EncodeProgram(&payload, comp.Prog); err != nil {
-		t.Fatalf("encode base: %v", err)
-	}
-	v1magic := artifactMagic
-	v1magic[7] = 1
-	sum := sha256.Sum256(payload.Bytes())
-	raw := append(append(v1magic[:], sum[:]...), payload.Bytes()...)
-
-	dir := t.TempDir()
-	var compiles atomic.Int64
-	c := countingCache(dir, &compiles)
-	k := sha256.Sum256([]byte(artifactSrc))
-	if err := os.WriteFile(c.artifactPath(k), raw, 0o644); err != nil {
-		t.Fatalf("write v1 artifact: %v", err)
-	}
-
-	reload, err := c.Get(artifactSrc)
-	if err != nil {
-		t.Fatalf("Get over v1 artifact: %v", err)
-	}
-	if got := compiles.Load(); got != 0 {
-		t.Fatalf("v1 artifact load compiled %d times, want 0", got)
-	}
-	// Lazy builds still replay bit-identically.
-	wantRes, err := comp.Run(0, core.RunConfig{Optimize: core.OptimizeOff, Tier: core.TierOff})
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	gotRes, err := reload.Run(0, core.RunConfig{Optimize: core.OptimizeOff, Tier: core.TierOff})
-	if err != nil {
-		t.Fatalf("v1 reload run: %v", err)
-	}
-	if gotRes.Exit != wantRes.Exit || gotRes.Stats != wantRes.Stats {
-		t.Fatalf("v1 reload diverged: exit %d vs %d, stats %+v vs %+v",
-			gotRes.Exit, wantRes.Exit, gotRes.Stats, wantRes.Stats)
 	}
 }
 

@@ -1,6 +1,7 @@
 package compilecache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"rsti/internal/core"
+	"rsti/internal/mir"
 	"rsti/internal/sti"
 )
 
@@ -194,6 +196,32 @@ func TestDiskRepairPaths(t *testing.T) {
 					t.Fatal(err)
 				}
 				raw[45] ^= 0xff // inside the payload: header intact, sha256 now wrong
+				if err := os.WriteFile(artifact, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return dir
+			},
+			want:           want{compiles: 1, diskErrors: 1, diskHits: 0, diskWrites: 1},
+			repairCompiles: 0,
+		},
+		{
+			// A well-formed base-only artifact in format version 1: the
+			// cache reads only version 2, so the header check treats it
+			// as damage and the rewrite upgrades it to version 2.
+			name: "v1_artifact",
+			breakFS: func(t *testing.T, dir, artifact string) string {
+				comp, err := core.Compile(diskSrc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var payload bytes.Buffer
+				if err := mir.EncodeProgram(&payload, comp.Prog); err != nil {
+					t.Fatal(err)
+				}
+				magic := artifactMagic
+				magic[7] = 1
+				sum := sha256.Sum256(payload.Bytes())
+				raw := append(append(magic[:], sum[:]...), payload.Bytes()...)
 				if err := os.WriteFile(artifact, raw, 0o644); err != nil {
 					t.Fatal(err)
 				}

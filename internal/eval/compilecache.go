@@ -25,10 +25,3 @@ var evalCache = compilecache.New(compilecache.Config{MaxEntries: -1, MaxBytes: -
 func compileCached(src string) (*core.Compilation, error) {
 	return evalCache.Get(src)
 }
-
-// CompileCacheStats reports the shared evaluation compile cache's
-// effectiveness counters (hits, misses, dedups, footprint) for the
-// benchmark-trajectory record.
-func CompileCacheStats() compilecache.Stats {
-	return evalCache.Stats()
-}

@@ -1,6 +1,10 @@
 package eval
 
 import (
+	"encoding/json"
+	"maps"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rsti/internal/core"
@@ -38,7 +42,52 @@ var goldenCycles = []struct {
 	},
 }
 
+// benchPins reads the modelled numbers BENCH_RESULTS.json pins: the
+// newest datapoint's golden cycles ("<bench>/<mechanism>") and Figure 9
+// overall geomeans (mechanism -> percent). The file is frozen and
+// perfbench checks its answers against the same values, so the tests
+// that compare against these keep the tree and the pins in agreement.
+func benchPins(t *testing.T) (golden map[string]int64, geomeanPct map[string]float64) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_RESULTS.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []struct {
+		Golden   map[string]int64   `json:"golden_cycles"`
+		Geomeans map[string]float64 `json:"figure9_overall_geomean_pct"`
+	}
+	if err := json.Unmarshal(raw, &recs); err != nil {
+		t.Fatalf("parsing BENCH_RESULTS.json: %v", err)
+	}
+	for _, r := range recs {
+		if len(r.Golden) > 0 {
+			golden = r.Golden
+		}
+		if len(r.Geomeans) > 0 {
+			geomeanPct = r.Geomeans
+		}
+	}
+	if len(golden) == 0 || len(geomeanPct) == 0 {
+		t.Fatal("BENCH_RESULTS.json has no golden cycles or Figure 9 geomeans")
+	}
+	return golden, geomeanPct
+}
+
 func TestGoldenCyclesBitIdentical(t *testing.T) {
+	// The table below and the pinned results file must agree entry for
+	// entry, so neither can drift without the other.
+	pinned, _ := benchPins(t)
+	table := make(map[string]int64)
+	for _, g := range goldenCycles {
+		for mech, cycles := range g.want {
+			table[g.name+"/"+mech.String()] = cycles
+		}
+	}
+	if !maps.Equal(table, pinned) {
+		t.Errorf("golden table %v differs from the BENCH_RESULTS.json pins %v", table, pinned)
+	}
+
 	// The pinned values are measured on unoptimized builds; force the
 	// optimizer off so the test means the same thing under a CI leg that
 	// sets RSTI_OPT=1. TestGoldenCyclesOptimized pins the optimized twin.

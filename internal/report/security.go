@@ -1,12 +1,10 @@
 // Security-analytics subsystem: the data model, serialization, markdown
-// dashboard and trajectory guard for SECURITY_RESULTS.json. Where
-// BENCH_RESULTS.json tracks host-side performance (with a tolerance
-// threshold, because wall clocks are noisy), the security trajectory is
-// fully deterministic — equivalence-class partitions and synthesized
-// attack outcomes are functions of the source alone — so its guard is
-// exact: ANY growth of a mechanism's largest class or replay surface
-// against the previous datapoint fails, unless CHANGES.md carries an
-// explicit waiver note.
+// dashboard and trajectory guard for SECURITY_RESULTS.json. The security
+// trajectory is fully deterministic — equivalence-class partitions and
+// synthesized attack outcomes are functions of the source alone — so its
+// guard is exact: ANY growth of a mechanism's largest class or replay
+// surface against the previous datapoint fails, unless CHANGES.md
+// carries an explicit waiver note.
 package report
 
 import (

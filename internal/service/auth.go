@@ -150,17 +150,17 @@ func (a *auth) admit(w http.ResponseWriter, r *http.Request) (*tenantState, bool
 	}
 	key := apiKey(r)
 	if key == "" {
-		writeError(w, r, http.StatusUnauthorized, KindUnauthorized,
+		writeError(w, http.StatusUnauthorized, KindUnauthorized,
 			"missing API key (Authorization: Bearer <key> or X-API-Key)")
 		return nil, false
 	}
 	t, ok := a.tenants[key]
 	if !ok {
-		writeError(w, r, http.StatusForbidden, KindForbidden, "unknown API key")
+		writeError(w, http.StatusForbidden, KindForbidden, "unknown API key")
 		return nil, false
 	}
 	if t.bucket != nil && !t.bucket.allow(a.now()) {
-		writeError(w, r, http.StatusTooManyRequests, KindRateLimited,
+		writeError(w, http.StatusTooManyRequests, KindRateLimited,
 			"tenant %s over its rate limit (%g/s)", t.Name, t.RatePerSec)
 		return nil, false
 	}

@@ -29,10 +29,7 @@ const (
 )
 
 // apiError is the uniform /v1 error envelope body: every error response
-// from every versioned endpoint is {"error": {"kind", "message",
-// "trap"?}}. Legacy unversioned routes keep their historical flat shape
-// ({"error": msg}, plus a top-level "kind" on compile failures) so
-// pre-/v1 clients never see a surprise.
+// from every endpoint is {"error": {"kind", "message", "trap"?}}.
 type apiError struct {
 	Kind    string    `json:"kind"`
 	Message string    `json:"message"`
@@ -43,17 +40,6 @@ type errorEnvelope struct {
 	Error apiError `json:"error"`
 }
 
-// legacyKey marks a request that arrived on a deprecated unversioned
-// route; error rendering keys off it.
-type legacyKeyType struct{}
-
-var legacyKey legacyKeyType
-
-func isLegacy(r *http.Request) bool {
-	v, _ := r.Context().Value(legacyKey).(bool)
-	return v
-}
-
 // writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -61,22 +47,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeError renders a protocol failure in the shape the route's
-// generation expects: the nested /v1 envelope, or the legacy flat form.
-func writeError(w http.ResponseWriter, r *http.Request, status int, kind, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if isLegacy(r) {
-		body := map[string]string{"error": msg}
-		// The legacy compile-failure contract carried the taxonomy kind at
-		// the top level; preserve it for exactly those kinds.
-		switch kind {
-		case KindParse, KindTypecheck, KindCompile:
-			body["kind"] = kind
-		}
-		writeJSON(w, status, body)
-		return
-	}
-	writeJSON(w, status, errorEnvelope{Error: apiError{Kind: kind, Message: msg}})
+// writeError renders a protocol failure in the /v1 error envelope.
+func writeError(w http.ResponseWriter, status int, kind, format string, args ...any) {
+	writeJSON(w, status, errorEnvelope{Error: apiError{Kind: kind, Message: fmt.Sprintf(format, args...)}})
 }
 
 // compileErrorKind classifies a frontend failure via the typed sentinels.
@@ -91,8 +64,8 @@ func compileErrorKind(err error) string {
 }
 
 // writeCompileError maps the typed compile errors onto a structured 422.
-func writeCompileError(w http.ResponseWriter, r *http.Request, err error) {
-	writeError(w, r, http.StatusUnprocessableEntity, compileErrorKind(err), "%s", err.Error())
+func writeCompileError(w http.ResponseWriter, err error) {
+	writeError(w, http.StatusUnprocessableEntity, compileErrorKind(err), "%s", err.Error())
 }
 
 // runCancelled reports whether a run's error means cancellation (client

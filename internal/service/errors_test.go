@@ -134,159 +134,100 @@ func TestErrorTaxonomyOverHTTP(t *testing.T) {
 	})
 }
 
-// TestEnvelopeParity proves, endpoint by endpoint, that a /v1 route and
-// its deprecated unversioned alias classify the same failure identically
-// — same status, same kind, same message — differing only in shape: /v1
-// nests {"error": {"kind", "message"}}, legacy keeps the historical flat
-// {"error": msg} (plus top-level "kind" for compile failures). Legacy
-// responses must also carry the Deprecation header and a successor Link.
+// TestEnvelopeParity proves, endpoint by endpoint, that every /v1 error
+// response uses the one nested envelope {"error": {"kind", "message"}}
+// with the failure's status and kind, and that no unversioned route is
+// mounted.
 func TestEnvelopeParity(t *testing.T) {
 	ts, _ := startServer(t)
 
 	type probe struct {
-		name     string
-		method   string
-		v1       string // versioned path
-		legacy   string // deprecated alias
-		body     any
-		status   int
-		kind     string
-		flatKind bool // legacy body carries top-level "kind" (compile taxonomy)
+		name   string
+		method string
+		path   string
+		body   any
+		status int
+		kind   string
 	}
 	probes := []probe{
 		{
-			name: "compile-parse", method: "POST", v1: "/v1/compile", legacy: "/compile",
+			name: "compile-parse", method: "POST", path: "/v1/compile",
 			body:   compileRequest{Source: "int main(void) { return 0 }"},
-			status: 422, kind: KindParse, flatKind: true,
+			status: 422, kind: KindParse,
 		},
 		{
-			name: "compile-typecheck", method: "POST", v1: "/v1/compile", legacy: "/compile",
+			name: "compile-typecheck", method: "POST", path: "/v1/compile",
 			body:   compileRequest{Source: "int main(void) { return nosuch; }"},
-			status: 422, kind: KindTypecheck, flatKind: true,
+			status: 422, kind: KindTypecheck,
 		},
 		{
-			name: "compile-missing-source", method: "POST", v1: "/v1/compile", legacy: "/compile",
+			name: "compile-missing-source", method: "POST", path: "/v1/compile",
 			body:   compileRequest{},
 			status: 400, kind: KindBadRequest,
 		},
 		{
-			name: "run-unknown-program", method: "POST", v1: "/v1/run", legacy: "/run",
+			name: "run-unknown-program", method: "POST", path: "/v1/run",
 			body:   runRequest{Program: "feedbead"},
 			status: 404, kind: KindNotFound,
 		},
 		{
-			name: "run-unknown-mechanism", method: "POST", v1: "/v1/run", legacy: "/run",
+			name: "run-unknown-mechanism", method: "POST", path: "/v1/run",
 			body:   runRequest{Source: victimSrc, Mechanism: "rop"},
 			status: 400, kind: KindBadRequest,
 		},
 		{
-			name: "run-bad-optimizer", method: "POST", v1: "/v1/run", legacy: "/run",
+			name: "run-bad-optimizer", method: "POST", path: "/v1/run",
 			body:   runRequest{Source: victimSrc, Optimizer: "fast"},
 			status: 400, kind: KindBadRequest,
 		},
 		{
-			name: "run-bad-tier", method: "POST", v1: "/v1/run", legacy: "/run",
+			name: "run-bad-tier", method: "POST", path: "/v1/run",
 			body:   runRequest{Source: victimSrc, Tier: "warp"},
 			status: 400, kind: KindBadRequest,
 		},
 		{
-			name: "attack-unknown-scenario", method: "POST", v1: "/v1/attack", legacy: "/attack",
+			name: "attack-unknown-scenario", method: "POST", path: "/v1/attack",
 			body:   attackRequest{Scenario: "nope"},
 			status: 404, kind: KindNotFound,
 		},
 	}
 
-	fire := func(t *testing.T, path string, p probe) (*http.Response, map[string]json.RawMessage) {
-		t.Helper()
-		data, _ := json.Marshal(p.body)
-		req, err := http.NewRequest(p.method, ts.URL+path, strings.NewReader(string(data)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var body map[string]json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatalf("%s: decoding body: %v", path, err)
-		}
-		return resp, body
-	}
-
 	for _, p := range probes {
 		t.Run(p.name, func(t *testing.T) {
-			v1Resp, v1Body := fire(t, p.v1, p)
-			legResp, legBody := fire(t, p.legacy, p)
-
-			if v1Resp.StatusCode != p.status || legResp.StatusCode != p.status {
-				t.Fatalf("status: v1 %d, legacy %d, want %d",
-					v1Resp.StatusCode, legResp.StatusCode, p.status)
+			data, _ := json.Marshal(p.body)
+			req, err := http.NewRequest(p.method, ts.URL+p.path, strings.NewReader(string(data)))
+			if err != nil {
+				t.Fatal(err)
 			}
-
-			// /v1: nested envelope with kind + message.
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != p.status {
+				t.Fatalf("status %d, want %d", resp.StatusCode, p.status)
+			}
+			var body map[string]json.RawMessage
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatalf("decoding body: %v", err)
+			}
 			var env apiError
-			if err := json.Unmarshal(v1Body["error"], &env); err != nil {
-				t.Fatalf("v1 error is not an envelope object: %s", v1Body["error"])
+			if err := json.Unmarshal(body["error"], &env); err != nil {
+				t.Fatalf("error is not an envelope object: %s", body["error"])
 			}
 			if env.Kind != p.kind || env.Message == "" {
-				t.Errorf("v1 envelope = %+v, want kind %q", env, p.kind)
-			}
-
-			// Legacy: flat string error, same message text.
-			var flatMsg string
-			if err := json.Unmarshal(legBody["error"], &flatMsg); err != nil {
-				t.Fatalf("legacy error is not a flat string: %s", legBody["error"])
-			}
-			if flatMsg != env.Message {
-				t.Errorf("message parity: v1 %q vs legacy %q", env.Message, flatMsg)
-			}
-			if p.flatKind {
-				var k string
-				if err := json.Unmarshal(legBody["kind"], &k); err != nil || k != p.kind {
-					t.Errorf("legacy top-level kind = %s, want %q", legBody["kind"], p.kind)
-				}
-			} else if _, present := legBody["kind"]; present {
-				t.Errorf("legacy body unexpectedly carries kind: %v", legBody)
-			}
-
-			// Deprecation marking on the legacy generation only.
-			if legResp.Header.Get("Deprecation") != "true" {
-				t.Error("legacy response missing Deprecation header")
-			}
-			if link := legResp.Header.Get("Link"); !strings.Contains(link, p.v1) {
-				t.Errorf("legacy Link header %q does not point at %s", link, p.v1)
-			}
-			if v1Resp.Header.Get("Deprecation") != "" {
-				t.Error("v1 response carries a Deprecation header")
+				t.Errorf("envelope = %+v, want kind %q", env, p.kind)
 			}
 		})
 	}
-}
 
-// TestLegacySuccessParity: the deprecated aliases serve identical success
-// payloads (same program handles, same run numbers) — deprecation changes
-// headers and error shape only.
-func TestLegacySuccessParity(t *testing.T) {
-	ts, _ := startServer(t)
-
-	var v1 compileResponse
-	if code := post(t, ts.URL+"/v1/compile", compileRequest{Source: victimSrc}, &v1); code != 200 {
-		t.Fatalf("v1 compile: status %d", code)
+	// Only /v1 routes are mounted.
+	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var leg compileResponse
-	if code := post(t, ts.URL+"/compile", compileRequest{Source: victimSrc}, &leg); code != 200 {
-		t.Fatalf("legacy compile: status %d", code)
-	}
-	if leg.Program != v1.Program || !leg.Cached {
-		t.Errorf("legacy compile diverged: %+v vs %+v", leg, v1)
-	}
-
-	var a, b runResponse
-	post(t, ts.URL+"/v1/run", runRequest{Program: v1.Program, Mechanism: "rsti-stc"}, &a)
-	post(t, ts.URL+"/run", runRequest{Program: v1.Program, Mechanism: "rsti-stc"}, &b)
-	if a.Exit != b.Exit || a.Cycles != b.Cycles || a.Instrs != b.Instrs {
-		t.Errorf("legacy run diverged: %+v vs %+v", b, a)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /run: status %d, want 404", resp.StatusCode)
 	}
 }

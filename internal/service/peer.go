@@ -24,7 +24,7 @@ func (s *Server) peerGuard(h http.HandlerFunc) http.HandlerFunc {
 		if s.peerSecret != "" {
 			got := r.Header.Get(cluster.PeerKeyHeader)
 			if subtle.ConstantTimeCompare([]byte(got), []byte(s.peerSecret)) != 1 {
-				writeError(w, r, http.StatusForbidden, KindForbidden, "bad peer key")
+				writeError(w, http.StatusForbidden, KindForbidden, "bad peer key")
 				return
 			}
 		}
@@ -49,12 +49,12 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Source == "" {
-		writeError(w, r, http.StatusBadRequest, KindBadRequest, "missing source")
+		writeError(w, http.StatusBadRequest, KindBadRequest, "missing source")
 		return
 	}
 	raw, err := s.cache.Artifact(req.Source)
 	if err != nil {
-		writeCompileFailure(w, r, err)
+		writeCompileFailure(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -2,11 +2,11 @@ package service
 
 // Host-runtime observability: the /v1/metrics runtime block and the
 // opt-in pprof handler rstid mounts on a separate listener. The execution
-// core's zero-allocation contract is enforced by tests and the bench
-// trajectory; this is the operator's live view of the same facts — a
-// serving daemon whose heap grows or whose GC pauses climb is violating
-// the contract in production, and heap/goroutine profiles are the first
-// diagnostic reached for.
+// core's zero-allocation contract is enforced by tests; this is the
+// operator's live view of the same facts — a serving daemon whose heap
+// grows or whose GC pauses climb is violating the contract in
+// production, and heap/goroutine profiles are the first diagnostic
+// reached for.
 
 import (
 	"net/http"

@@ -17,9 +17,7 @@
 //	GET  /v1/healthz     liveness
 //
 // Every /v1 error response uses one envelope: {"error": {"kind",
-// "message", "trap"?}}. The pre-versioning routes (/compile, /run,
-// /attack, /attacks, /metrics, /healthz) remain as deprecated aliases —
-// flat error shape, Deprecation header — so old clients keep working.
+// "message", "trap"?}}.
 //
 // Execution outcomes (traps, budget exhaustion, deadline) are reported
 // inside a 200 response; protocol failures (unknown program, bad
@@ -194,7 +192,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// routes mounts the /v1 surface and its deprecated unversioned aliases.
+// routes mounts the /v1 surface.
 func (s *Server) routes() {
 	v1 := []struct {
 		pattern string
@@ -222,40 +220,6 @@ func (s *Server) routes() {
 			h = s.guarded(h)
 		}
 		s.mux.HandleFunc(rt.pattern, h)
-	}
-	// Deprecated aliases: same handlers, legacy error shape, Deprecation
-	// header pointing at the successor. (run/stream never existed
-	// unversioned, so it has no alias.)
-	legacy := []struct {
-		pattern   string
-		successor string
-		h         http.HandlerFunc
-		guarded   bool
-	}{
-		{"POST /compile", "/v1/compile", s.handleCompile, true},
-		{"POST /run", "/v1/run", s.handleRun, true},
-		{"POST /attack", "/v1/attack", s.handleAttack, true},
-		{"GET /attacks", "/v1/attacks", s.handleAttackList, false},
-		{"GET /metrics", "/v1/metrics", s.handleMetrics, false},
-		{"GET /healthz", "/v1/healthz", s.handleHealthz, false},
-	}
-	for _, rt := range legacy {
-		h := rt.h
-		if rt.guarded {
-			h = s.guarded(h)
-		}
-		s.mux.HandleFunc(rt.pattern, s.deprecated(rt.successor, h))
-	}
-}
-
-// deprecated wraps a handler as a legacy alias: responses carry the
-// Deprecation header (RFC 8594 style) and a Link to the successor route,
-// and errors render in the historical flat shape.
-func (s *Server) deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r.WithContext(context.WithValue(r.Context(), legacyKey, true)))
 	}
 }
 
@@ -409,7 +373,7 @@ func (s *Server) lookup(key string) (*core.Compilation, bool) {
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	body := http.MaxBytesReader(w, r.Body, maxSourceBytes)
 	if err := json.NewDecoder(body).Decode(v); err != nil {
-		writeError(w, r, http.StatusBadRequest, KindBadRequest, "bad request body: %v", err)
+		writeError(w, http.StatusBadRequest, KindBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
@@ -431,12 +395,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Source == "" {
-		writeError(w, r, http.StatusBadRequest, KindBadRequest, "missing source")
+		writeError(w, http.StatusBadRequest, KindBadRequest, "missing source")
 		return
 	}
 	key, c, cached, err := s.compile(req.Source)
 	if err != nil {
-		writeCompileFailure(w, r, err)
+		writeCompileFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, compileResponse{
@@ -468,7 +432,7 @@ type runRequest struct {
 }
 
 // parseOptimizer maps the wire field onto a build mode.
-func parseOptimizer(w http.ResponseWriter, r *http.Request, name string) (core.OptimizeMode, bool) {
+func parseOptimizer(w http.ResponseWriter, name string) (core.OptimizeMode, bool) {
 	switch name {
 	case "":
 		return core.OptimizeDefault, true
@@ -477,13 +441,13 @@ func parseOptimizer(w http.ResponseWriter, r *http.Request, name string) (core.O
 	case "off":
 		return core.OptimizeOff, true
 	}
-	writeError(w, r, http.StatusBadRequest, KindBadRequest,
+	writeError(w, http.StatusBadRequest, KindBadRequest,
 		"unknown optimizer mode %q (want on, off, or empty)", name)
 	return core.OptimizeDefault, false
 }
 
 // parseTier maps the wire field onto an execution-tier mode.
-func parseTier(w http.ResponseWriter, r *http.Request, name string) (core.TierMode, bool) {
+func parseTier(w http.ResponseWriter, name string) (core.TierMode, bool) {
 	switch name {
 	case "":
 		return core.TierDefault, true
@@ -492,7 +456,7 @@ func parseTier(w http.ResponseWriter, r *http.Request, name string) (core.TierMo
 	case "off":
 		return core.TierOff, true
 	}
-	writeError(w, r, http.StatusBadRequest, KindBadRequest,
+	writeError(w, http.StatusBadRequest, KindBadRequest,
 		"unknown tier mode %q (want on, off, or empty)", name)
 	return core.TierDefault, false
 }
@@ -526,37 +490,37 @@ type runResponse struct {
 }
 
 // resolve turns a run request's program-or-source into a compilation.
-func (s *Server) resolve(w http.ResponseWriter, r *http.Request, program, source string) (string, *core.Compilation, bool) {
+func (s *Server) resolve(w http.ResponseWriter, program, source string) (string, *core.Compilation, bool) {
 	switch {
 	case program != "" && source != "":
-		writeError(w, r, http.StatusBadRequest, KindBadRequest, "give program or source, not both")
+		writeError(w, http.StatusBadRequest, KindBadRequest, "give program or source, not both")
 	case program != "":
 		if c, ok := s.lookup(program); ok {
 			return program, c, true
 		}
-		writeError(w, r, http.StatusNotFound, KindNotFound,
+		writeError(w, http.StatusNotFound, KindNotFound,
 			"unknown program %q (compile it first)", program)
 	case source != "":
 		key, c, _, err := s.compile(source)
 		if err != nil {
-			writeCompileFailure(w, r, err)
+			writeCompileFailure(w, err)
 			return "", nil, false
 		}
 		return key, c, true
 	default:
-		writeError(w, r, http.StatusBadRequest, KindBadRequest, "missing program or source")
+		writeError(w, http.StatusBadRequest, KindBadRequest, "missing program or source")
 	}
 	return "", nil, false
 }
 
 // parseMech validates the mechanism name ("" means the None baseline).
-func parseMech(w http.ResponseWriter, r *http.Request, name string) (sti.Mechanism, bool) {
+func parseMech(w http.ResponseWriter, name string) (sti.Mechanism, bool) {
 	if name == "" {
 		return sti.None, true
 	}
 	mech, ok := sti.ParseMechanism(name)
 	if !ok {
-		writeError(w, r, http.StatusBadRequest, KindBadRequest, "unknown mechanism %q", name)
+		writeError(w, http.StatusBadRequest, KindBadRequest, "unknown mechanism %q", name)
 	}
 	return mech, ok
 }
@@ -565,11 +529,11 @@ func parseMech(w http.ResponseWriter, r *http.Request, name string) (sti.Mechani
 // applying the tenant's step-budget quota. ok=false means the response
 // has been written.
 func (s *Server) runConfig(w http.ResponseWriter, r *http.Request, req *runRequest) (core.RunConfig, bool) {
-	optMode, ok := parseOptimizer(w, r, req.Optimizer)
+	optMode, ok := parseOptimizer(w, req.Optimizer)
 	if !ok {
 		return core.RunConfig{}, false
 	}
-	tierMode, ok := parseTier(w, r, req.Tier)
+	tierMode, ok := parseTier(w, req.Tier)
 	if !ok {
 		return core.RunConfig{}, false
 	}
@@ -586,26 +550,26 @@ func (s *Server) runConfig(w http.ResponseWriter, r *http.Request, req *runReque
 // sentinels surface when the pool refused the compile job (shutdown,
 // saturation) — those are service conditions, not source defects, and
 // keep their admission statuses.
-func writeCompileFailure(w http.ResponseWriter, r *http.Request, err error) {
+func writeCompileFailure(w http.ResponseWriter, err error) {
 	if errors.Is(err, engine.ErrClosed) || errors.Is(err, engine.ErrQueueFull) {
-		writeAdmissionError(w, r, err)
+		writeAdmissionError(w, err)
 		return
 	}
-	writeCompileError(w, r, err)
+	writeCompileError(w, err)
 }
 
 // writeAdmissionError maps an engine admission failure onto the wire;
 // reports whether err was one.
-func writeAdmissionError(w http.ResponseWriter, r *http.Request, err error) bool {
+func writeAdmissionError(w http.ResponseWriter, err error) bool {
 	switch {
 	case err == nil:
 		return false
 	case errors.Is(err, engine.ErrQueueFull):
-		writeError(w, r, http.StatusTooManyRequests, KindQueueFull, "queue full")
+		writeError(w, http.StatusTooManyRequests, KindQueueFull, "queue full")
 	case errors.Is(err, engine.ErrClosed):
-		writeError(w, r, http.StatusServiceUnavailable, KindShutdown, "shutting down")
+		writeError(w, http.StatusServiceUnavailable, KindShutdown, "shutting down")
 	default:
-		writeError(w, r, http.StatusInternalServerError, KindInternal, "%v", err)
+		writeError(w, http.StatusInternalServerError, KindInternal, "%v", err)
 	}
 	return true
 }
@@ -623,7 +587,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, key string, job 
 	} else {
 		res, err = s.eng.Submit(r.Context(), job)
 	}
-	if writeAdmissionError(w, r, err) {
+	if writeAdmissionError(w, err) {
 		return
 	}
 	s.recordPACOps(job.Mech, res)
@@ -650,11 +614,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	mech, ok := parseMech(w, r, req.Mechanism)
+	mech, ok := parseMech(w, req.Mechanism)
 	if !ok {
 		return
 	}
-	key, c, ok := s.resolve(w, r, req.Program, req.Source)
+	key, c, ok := s.resolve(w, req.Program, req.Source)
 	if !ok {
 		return
 	}
@@ -693,17 +657,17 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 	}
 	sc, ok := s.scenarios[req.Scenario]
 	if !ok {
-		writeError(w, r, http.StatusNotFound, KindNotFound,
+		writeError(w, http.StatusNotFound, KindNotFound,
 			"unknown scenario %q (GET /v1/attacks lists them)", req.Scenario)
 		return
 	}
-	mech, ok := parseMech(w, r, req.Mechanism)
+	mech, ok := parseMech(w, req.Mechanism)
 	if !ok {
 		return
 	}
 	_, c, _, err := s.compile(sc.Source)
 	if err != nil {
-		writeCompileFailure(w, r, err)
+		writeCompileFailure(w, err)
 		return
 	}
 	cfg := core.RunConfig{Externs: sc.Externs}
@@ -711,7 +675,7 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) {
 		cfg.Hooks = map[int64]vm.Hook{1: sc.Corrupt}
 	}
 	res, err := s.eng.Submit(r.Context(), engine.Job{Comp: c, Mech: mech, Cfg: cfg})
-	if writeAdmissionError(w, r, err) {
+	if writeAdmissionError(w, err) {
 		return
 	}
 	s.recordPACOps(mech, res)

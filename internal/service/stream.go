@@ -110,11 +110,11 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	mech, ok := parseMech(w, r, req.Mechanism)
+	mech, ok := parseMech(w, req.Mechanism)
 	if !ok {
 		return
 	}
-	key, c, ok := s.resolve(w, r, req.Program, req.Source)
+	key, c, ok := s.resolve(w, req.Program, req.Source)
 	if !ok {
 		return
 	}
@@ -124,7 +124,7 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, KindInternal,
+		writeError(w, http.StatusInternalServerError, KindInternal,
 			"response writer does not support streaming")
 		return
 	}

@@ -1,9 +1,8 @@
 package workload
 
-// PACDense returns the PAC-dense microbenchmark used by the trajectory
-// harness: a pointer-chasing kernel whose hot loop is dominated by
-// instrumented loads and stores, so almost every dispatched instruction
-// sits next to a pac/aut. That is the worst case for interpreter dispatch
+// PACDense returns the PAC-dense microbenchmark: a pointer-chasing
+// kernel whose hot loop is dominated by instrumented loads and stores, so
+// almost every dispatched instruction sits next to a pac/aut. That is the worst case for interpreter dispatch
 // overhead and therefore the best case for measuring the sign/store and
 // auth/load superinstruction fast path.
 func PACDense() *Benchmark {
