@@ -28,7 +28,7 @@ var (
 	// ErrParse marks lexical and syntactic Compile failures.
 	ErrParse = core.ErrParse
 	// ErrTypeCheck marks semantic Compile failures (name resolution,
-	// type checking).
+	// type checking, static data too large for its segment).
 	ErrTypeCheck = core.ErrTypeCheck
 	// ErrStepBudget matches a run stopped by its step budget (see
 	// WithStepBudget and vm.Options.MaxSteps).

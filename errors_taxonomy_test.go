@@ -76,6 +76,29 @@ func TestErrorTaxonomyTable(t *testing.T) {
 			isNot: []error{rsti.ErrParse, rsti.ErrStepBudget},
 		},
 		{
+			// In-bounds for C, but the array outgrows the 256 MiB globals
+			// segment; left unchecked, the strings segment took over the
+			// tail and the store trapped as unmapped.
+			name: "compile/globals-overflow",
+			produce: func(t *testing.T) error {
+				_, err := rsti.Compile("char g[300000000]; int main(void){ g[299999999] = 7; return g[299999999]; }")
+				return err
+			},
+			is:    []error{rsti.ErrTypeCheck},
+			isNot: []error{rsti.ErrParse, rsti.ErrStepBudget},
+		},
+		{
+			// 2^60 longs: the size wraps negative in int arithmetic; left
+			// unchecked, building a machine panicked allocating the segment.
+			name: "compile/globals-size-wrap",
+			produce: func(t *testing.T) error {
+				_, err := rsti.Compile("long g[1152921504606846976]; int main(void){ return 0; }")
+				return err
+			},
+			is:    []error{rsti.ErrTypeCheck},
+			isNot: []error{rsti.ErrParse, rsti.ErrStepBudget},
+		},
+		{
 			name: "run/step-budget",
 			produce: func(t *testing.T) error {
 				res, err := p.Run(rsti.None, rsti.WithStepBudget(50))

@@ -3,9 +3,11 @@ package compilecache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rsti/internal/core"
 )
@@ -59,13 +61,11 @@ func TestSingleflightDedupesConcurrentGets(t *testing.T) {
 	src := program(2)
 	const waiters = 8
 	results := make([]*core.Compilation, waiters)
-	var started, wg sync.WaitGroup
-	started.Add(waiters)
+	var wg sync.WaitGroup
 	wg.Add(waiters)
 	for i := 0; i < waiters; i++ {
 		go func(i int) {
 			defer wg.Done()
-			started.Done()
 			comp, err := c.Get(src)
 			if err != nil {
 				t.Error(err)
@@ -73,7 +73,15 @@ func TestSingleflightDedupesConcurrentGets(t *testing.T) {
 			results[i] = comp
 		}(i)
 	}
-	started.Wait()
+	// Release the flight only once every Get has reached the cache (one
+	// opened the flight, the rest joined it). Released any earlier, a
+	// late Get could find the finished entry and count as a hit, not a
+	// dedup.
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		if s := c.Stats(); s.Misses+s.Dedups == waiters {
+			break
+		}
+	}
 	close(release)
 	wg.Wait()
 	if n := calls.Load(); n != 1 {

@@ -188,7 +188,9 @@ func DefaultTier() bool {
 }
 
 // Compile runs the frontend, lowering and STI analysis. Frontend failures
-// carry the ErrParse / ErrTypeCheck sentinels for errors.Is.
+// carry the ErrParse / ErrTypeCheck sentinels for errors.Is; a program
+// whose globals or string constants overflow their VM segment (see
+// vm.CheckDataLayout) is an ErrTypeCheck too.
 func Compile(src string) (*Compilation, error) {
 	f, err := cminor.Parse(src)
 	if err != nil {
@@ -200,6 +202,9 @@ func Compile(src string) (*Compilation, error) {
 	prog, err := lower.Lower(f)
 	if err != nil {
 		return nil, fmt.Errorf("lower: %w", err)
+	}
+	if err := vm.CheckDataLayout(prog); err != nil {
+		return nil, fmt.Errorf("layout: %w: %w", ErrTypeCheck, err)
 	}
 	return &Compilation{
 		File:     f,

@@ -20,7 +20,7 @@ var (
 	// ErrParse marks lexical and syntactic frontend failures.
 	ErrParse = errors.New("parse error")
 	// ErrTypeCheck marks semantic frontend failures (name resolution,
-	// type checking).
+	// type checking, static data too large for its segment).
 	ErrTypeCheck = errors.New("type-check error")
 	// ErrStepBudget marks a run stopped by its step budget
 	// (vm.TrapMaxSteps). It is matched by TrapError.Is, so

@@ -100,7 +100,10 @@ func TestPACMemoizationAcrossMechanismAlternation(t *testing.T) {
 
 // TestPACMemoizationAfterAttackRun: an attacked run pushes forged and
 // replayed values through the shared unit's cache; subsequent benign
-// runs on the same WorkerState must be untouched by that history.
+// runs on the same WorkerState must be untouched by that history. The
+// benign runs cover another mechanism and the threaded tier too, so the
+// worker's resident machine is re-pointed at a different image straight
+// after the attack.
 func TestPACMemoizationAfterAttackRun(t *testing.T) {
 	src := `
 int ok(void) { return 1; }
@@ -118,9 +121,27 @@ int main(void) { h = ok; __hook(1); return h(); }
 		return m.Mem.Poke(addr, tok, 8)
 	}}
 
-	coldBenign, err := c.Run(sti.STWC, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
+	// The tier-on run promotes main on its first block, so its benign
+	// runs execute threaded code.
+	benign := []struct {
+		name string
+		mech sti.Mechanism
+		cfg  RunConfig
+	}{
+		{"stwc", sti.STWC, RunConfig{Tier: TierOff}},
+		{"stl", sti.STL, RunConfig{Tier: TierOff}},
+		{"stwc-tier", sti.STWC, RunConfig{Tier: TierOn, Options: vm.Options{TierThreshold: 1}}},
+	}
+	cold := make([]fingerprint, len(benign))
+	for i, b := range benign {
+		res, err := c.Run(b.mech, b.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.cfg.Tier == TierOn && res.Stats.ThreadedInstrs == 0 {
+			t.Fatalf("%s: cold run executed no threaded code", b.name)
+		}
+		cold[i] = fingerprintOf(res)
 	}
 
 	ws := vm.NewWorkerState()
@@ -132,13 +153,17 @@ int main(void) { h = ok; __hook(1); return h(); }
 		if !attacked.Detected() {
 			t.Fatalf("round %d: hijack not detected on warm worker state", round)
 		}
-		benign, err := c.Run(sti.STWC, RunConfig{Worker: ws})
-		if err != nil {
-			t.Fatalf("round %d benign: %v", round, err)
-		}
-		if got, want := fingerprintOf(benign), fingerprintOf(coldBenign); got != want {
-			t.Fatalf("round %d: benign run poisoned by attack history:\nwarm %+v\ncold %+v",
-				round, got, want)
+		for i, b := range benign {
+			cfg := b.cfg
+			cfg.Worker = ws
+			res, err := c.Run(b.mech, cfg)
+			if err != nil {
+				t.Fatalf("round %d benign %s: %v", round, b.name, err)
+			}
+			if got := fingerprintOf(res); got != cold[i] {
+				t.Fatalf("round %d: benign %s run poisoned by attack history:\nwarm %+v\ncold %+v",
+					round, b.name, got, cold[i])
+			}
 		}
 	}
 }

@@ -351,18 +351,24 @@ func (e *Engine) execute(t *task, ws **vm.WorkerState) (res *core.RunResult, err
 	return t.do(runCtx, *ws)
 }
 
-// Stats snapshots the aggregate counters.
+// Stats snapshots the aggregate counters. Completed and Panicked are
+// loaded before Submitted: a job is counted submitted before it can be
+// dequeued, so every finish the snapshot sees was already admitted when
+// Submitted is read, and Completed + Panicked ≤ Submitted holds for every
+// snapshot. Loading Submitted first would let a job admitted and finished
+// between the loads show up as finished but not submitted.
 func (e *Engine) Stats() Stats {
+	completed, panicked := e.completed.Load(), e.panicked.Load()
 	return Stats{
 		Workers:        e.cfg.Workers,
 		Queued:         len(e.queue),
 		Running:        int(e.running.Load()),
 		Submitted:      e.submitted.Load(),
 		Rejected:       e.rejected.Load(),
-		Completed:      e.completed.Load(),
+		Completed:      completed,
 		Trapped:        e.trapped.Load(),
 		Cancelled:      e.cancelled.Load(),
-		Panicked:       e.panicked.Load(),
+		Panicked:       panicked,
 		Instrs:         e.instrs.Load(),
 		ThreadedInstrs: e.threaded.Load(),
 		Cycles:         e.cycles.Load(),

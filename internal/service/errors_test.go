@@ -28,6 +28,7 @@ func TestErrorTaxonomyOverHTTP(t *testing.T) {
 		}{
 			{"parse", "int main(void) { return 0 }", 422, KindParse},
 			{"typecheck", "int main(void) { return nosuch; }", 422, KindTypecheck},
+			{"globals-overflow", "char g[300000000]; int main(void){ g[299999999] = 7; return g[299999999]; }", 422, KindTypecheck},
 		}
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {

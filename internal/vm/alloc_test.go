@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"testing"
 
 	"rsti/internal/cminor"
@@ -54,7 +55,13 @@ int main(void) {
 // just plain arithmetic.
 func allocBenchProg(t *testing.T) *mir.Program {
 	t.Helper()
-	f, err := cminor.Frontend(allocBenchSrc)
+	return instrumentedProg(t, allocBenchSrc, sti.STC)
+}
+
+// instrumentedProg lowers src and instruments it under mech.
+func instrumentedProg(t *testing.T, src string, mech sti.Mechanism) *mir.Program {
+	t.Helper()
+	f, err := cminor.Frontend(src)
 	if err != nil {
 		t.Fatalf("frontend: %v", err)
 	}
@@ -62,11 +69,95 @@ func allocBenchProg(t *testing.T) *mir.Program {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	inst, _, err := rsti.Instrument(prog, sti.Analyze(prog), sti.STC)
+	inst, _, err := rsti.Instrument(prog, sti.Analyze(prog), mech)
 	if err != nil {
 		t.Fatalf("instrument: %v", err)
 	}
 	return inst
+}
+
+// tableSrc has the largest static data of the re-point workloads: a
+// 2 KiB global table and three string constants reached through a global
+// pointer array. Like allocBenchSrc it calls no allocating builtin.
+const tableSrc = `
+long table[256];
+char *names[3];
+
+int main(void) {
+	names[0] = "alpha";
+	names[1] = "bravo-charlie";
+	names[2] = "delta-echo-foxtrot";
+	for (long r = 0; r < 40; r++) {
+		for (long i = 0; i < 256; i++) { table[i] = table[i] + i * r; }
+	}
+	long s = 0;
+	for (long i = 0; i < 256; i++) { s += table[i]; }
+	for (long k = 0; k < 3; k++) {
+		char *p = names[k];
+		long j = 0;
+		while (p[j] != 0) { s += p[j]; j++; }
+	}
+	return (int)(s & 255);
+}
+`
+
+// pointsSrc sits between the other two: a small global struct array and
+// one short string constant.
+const pointsSrc = `
+struct point { long x; long y; };
+struct point pts[16];
+
+int main(void) {
+	char *tag = "pt";
+	for (long i = 0; i < 16; i++) { pts[i].x = i; pts[i].y = i * i; }
+	long s = 0;
+	for (long r = 0; r < 50; r++) {
+		for (long i = 0; i < 16; i++) { s += pts[i].x * pts[i].y + tag[i & 1]; }
+	}
+	return (int)(s & 255);
+}
+`
+
+// greetSrc prints, which makes its runs allocate on the host (puts
+// converts a C string), so the rotation checks its output but leaves it
+// out of the allocation count.
+const greetSrc = `
+char *greeting = "hello from a re-pointed machine";
+int main(void) { puts(greeting); puts("bye"); return 5; }
+`
+
+// repointCase is one cell of a warm worker's rotation: a program with
+// its own shared image and the run options that differ between cells.
+type repointCase struct {
+	name   string
+	prog   *mir.Program
+	opts   Options
+	prints bool // calls an allocating output builtin
+}
+
+// repointRotation returns cells that differ in globals size, strings
+// size, tier on/off and cost model (PARTS' 22-cycle PAC charge), all with
+// the default heap and stack sizes, so one worker's resident machine
+// must be re-pointed between every pair of them.
+func repointRotation(t *testing.T) []repointCase {
+	t.Helper()
+	cell := func(name string, prog *mir.Program, tier bool, pac int64) repointCase {
+		opts := DefaultOptions()
+		opts.Image = NewImage(prog)
+		opts.Tier = tier
+		opts.TierThreshold = testTierThreshold
+		opts.Cost.PAC = pac
+		return repointCase{name: name, prog: prog, opts: opts}
+	}
+	pac := DefaultCostModel().PAC
+	greet := cell("greet-none", instrumentedProg(t, greetSrc, sti.None), false, pac)
+	greet.prints = true
+	return []repointCase{
+		cell("list-stc", allocBenchProg(t), false, pac),
+		cell("table-stwc-tier-parts", instrumentedProg(t, tableSrc, sti.STWC), true, 22),
+		cell("points-stl", instrumentedProg(t, pointsSrc, sti.STL), false, pac),
+		greet,
+	}
 }
 
 // residentMachine builds a machine the way a steady-state engine worker
@@ -136,9 +227,10 @@ func TestAllocBudgetTier(t *testing.T) {
 }
 
 // TestAllocBudgetWorkerReuse pins the serving-side entry point: a
-// WorkerState that keeps getting the same (program, options) shape hands
-// back its resident machine, and the Reset+Run cycle it performs through
-// MachineFor allocates nothing once warm.
+// WorkerState hands back its resident machine for every run with the same
+// heap and stack sizes, whether the run repeats the last image or moves
+// to another one, and a warm MachineFor+Run allocates nothing. Each
+// re-pointed run must match a fresh machine's exactly.
 func TestAllocBudgetWorkerReuse(t *testing.T) {
 	prog := allocBenchProg(t)
 	opts := DefaultOptions()
@@ -165,12 +257,65 @@ func TestAllocBudgetWorkerReuse(t *testing.T) {
 		t.Fatalf("worker-reuse steady-state MachineFor+Run allocates %.1f times per run, want 0", n)
 	}
 
-	// A different shape must NOT reuse: the resident slot is keyed on
-	// everything that shapes a machine.
+	// A warm rotation over images that differ in everything but the
+	// memory sizes keeps re-pointing the same machine, allocates nothing,
+	// and matches a fresh machine's run exactly.
+	cells := repointRotation(t)
+	type outcome struct {
+		exit  int64
+		out   string
+		stats Stats
+	}
+	want := make([]outcome, len(cells))
+	for i, c := range cells {
+		var out bytes.Buffer
+		fo := c.opts
+		fo.Output = &out
+		fresh := New(c.prog, fo)
+		exit, err := fresh.Run()
+		if err != nil {
+			t.Fatalf("%s: fresh run: %v", c.name, err)
+		}
+		want[i] = outcome{exit, out.String(), modelled(fresh.Stats)}
+	}
+	for round := 0; round < 3; round++ {
+		for i, c := range cells {
+			var out bytes.Buffer
+			ro := c.opts
+			ro.Output = &out
+			mm := ws.MachineFor(c.prog, ro)
+			if mm != m {
+				t.Fatalf("round %d %s: MachineFor built a new machine instead of re-pointing the resident one", round, c.name)
+			}
+			exit, err := mm.Run()
+			if err != nil {
+				t.Fatalf("round %d %s: %v", round, c.name, err)
+			}
+			if got := (outcome{exit, out.String(), modelled(mm.Stats)}); got != want[i] {
+				t.Fatalf("round %d %s: re-pointed run diverges from a fresh machine:\n got %+v\nwant %+v", round, c.name, got, want[i])
+			}
+		}
+	}
+	n = testing.AllocsPerRun(10, func() {
+		for _, c := range cells {
+			if c.prints {
+				continue
+			}
+			if _, err := ws.MachineFor(c.prog, c.opts).Run(); err != nil {
+				t.Fatalf("measured %s run: %v", c.name, err)
+			}
+		}
+	})
+	if n != 0 {
+		t.Fatalf("warm rotation allocates %.1f times per rotation, want 0", n)
+	}
+
+	// A different heap size must NOT reuse: the resident slot is keyed on
+	// the memory sizes.
 	bigger := opts
 	bigger.HeapSize *= 2
 	if other := ws.MachineFor(prog, bigger); other == m {
-		t.Fatalf("MachineFor reused the resident machine across a config change")
+		t.Fatalf("MachineFor reused the resident machine across a heap-size change")
 	}
 }
 
@@ -258,26 +403,7 @@ func TestResetWipesPoisonedMemory(t *testing.T) {
 	}
 
 	m.Reset()
-	for si := range m.Mem.segs {
-		s := &m.Mem.segs[si]
-		if s.name == "strings" {
-			continue // checked against the constants below
-		}
-		for off, b := range s.data {
-			if b != 0 {
-				t.Fatalf("segment %s byte %#x = %#x after Reset, want 0", s.name, s.base+uint64(off), b)
-			}
-		}
-	}
-	for i, str := range prog.Strings {
-		b, err := m.Mem.Bytes(m.img.stringAddr[i], len(str)+1)
-		if err != nil {
-			t.Fatalf("string %d: %v", i, err)
-		}
-		if string(b[:len(str)]) != str || b[len(str)] != 0 {
-			t.Fatalf("string constant %d corrupted after Reset: %q", i, b)
-		}
-	}
+	assertPristine(t, m, "Reset")
 
 	exit, err := m.Run()
 	if err != nil {
@@ -288,6 +414,76 @@ func TestResetWipesPoisonedMemory(t *testing.T) {
 	}
 	if got := modelled(m.Stats); got != wantStats {
 		t.Fatalf("modelled stats diverged after poisoned Reset:\n got %+v\nwant %+v", got, wantStats)
+	}
+
+	// The same tenant on a worker whose resident machine is re-pointed:
+	// poison image A's memory, switch to image B (smaller globals and
+	// strings, so both segments shrink), then back to A (both regrow
+	// within their capacity). Neither switch may expose a poisoned byte.
+	cells := repointRotation(t)
+	a, b := cells[1], cells[2] // table (larger data), points (smaller)
+	ws := NewWorkerState()
+	ref := New(a.prog, a.opts)
+	wantExit, err = ref.Run()
+	if err != nil {
+		t.Fatalf("reference run of %s: %v", a.name, err)
+	}
+	wantStats = modelled(ref.Stats)
+	rm := ws.MachineFor(a.prog, a.opts)
+	if _, err := rm.Run(); err != nil {
+		t.Fatalf("victim run of %s: %v", a.name, err)
+	}
+	for _, addr := range []uint64{
+		GlobalsBase + uint64(len(rm.Mem.segs[0].data)) - 8, // A's last globals word
+		HeapBase + uint64(len(rm.Mem.segs[2].data)) - 8,
+		StackBase + uint64(len(rm.Mem.segs[3].data)) - 8,
+	} {
+		if err := rm.Mem.Poke(addr, poisonWord, 8); err != nil {
+			t.Fatalf("poke %#x: %v", addr, err)
+		}
+	}
+	if mb := ws.MachineFor(b.prog, b.opts); mb != rm {
+		t.Fatalf("switch to %s built a new machine instead of re-pointing", b.name)
+	}
+	if len(rm.Mem.segs[0].data) >= cap(rm.Mem.segs[0].data) || len(rm.Mem.segs[1].data) >= cap(rm.Mem.segs[1].data) {
+		t.Fatalf("switch to %s did not shrink the globals and strings segments", b.name)
+	}
+	assertPristine(t, rm, "re-point to "+b.name)
+	if ma := ws.MachineFor(a.prog, a.opts); ma != rm {
+		t.Fatalf("switch back to %s built a new machine instead of re-pointing", a.name)
+	}
+	assertPristine(t, rm, "re-point back to "+a.name)
+	exit, err = rm.Run()
+	if err != nil {
+		t.Fatalf("run of %s after poisoned re-points: %v", a.name, err)
+	}
+	if exit != wantExit {
+		t.Fatalf("%s exit = %d, want %d — poisoned memory leaked across re-points", a.name, exit, wantExit)
+	}
+	if got := modelled(rm.Stats); got != wantStats {
+		t.Fatalf("%s modelled stats diverged after poisoned re-points:\n got %+v\nwant %+v", a.name, got, wantStats)
+	}
+}
+
+// assertPristine requires m's memory to be exactly as a fresh machine for
+// its image has it: the program's string constants in place and every
+// other byte zero, across each segment's whole backing array, so a
+// later regrowth within capacity cannot expose an old byte either.
+func assertPristine(t *testing.T, m *Machine, when string) {
+	t.Helper()
+	for si := range m.Mem.segs {
+		s := &m.Mem.segs[si]
+		want := make([]byte, cap(s.data))
+		if s.base == StringsBase {
+			for i, str := range m.Prog.Strings {
+				copy(want[m.img.stringAddr[i]-StringsBase:], str)
+			}
+		}
+		for off, got := range s.data[:cap(s.data)] {
+			if got != want[off] {
+				t.Fatalf("after %s: segment %s byte %#x = %#x, want %#x", when, s.name, s.base+uint64(off), got, want[off])
+			}
+		}
 	}
 }
 

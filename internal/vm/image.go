@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"rsti/internal/mir"
@@ -56,8 +57,8 @@ type Image struct {
 	tokFunc    map[uint64]*mir.Func
 	globalAddr []uint64
 	stringAddr []uint64
-	gsize      int
-	ssize      int
+	gseg       int // globals segment size, see dataLayout
+	sseg       int // strings segment size
 
 	// maxRegs is the widest register file any function of the program
 	// needs — the frame pool's sizing watermark: register slices are
@@ -89,16 +90,7 @@ func NewImage(prog *mir.Program) *Image {
 		dec:     make(map[*mir.Func]funcDec, len(prog.Funcs)),
 	}
 
-	for _, g := range prog.Globals {
-		a := g.Type.Align()
-		img.gsize = (img.gsize + a - 1) / a * a
-		img.globalAddr = append(img.globalAddr, GlobalsBase+uint64(img.gsize))
-		img.gsize += g.Type.Size()
-	}
-	for _, s := range prog.Strings {
-		img.stringAddr = append(img.stringAddr, StringsBase+uint64(img.ssize))
-		img.ssize += len(s) + 1
-	}
+	img.globalAddr, img.stringAddr, img.gseg, img.sseg = dataLayout(prog)
 
 	// Pass 1: size the flat arenas and the register watermark.
 	nInstr, nOff := 0, 0
@@ -141,6 +133,45 @@ func NewImage(prog *mir.Program) *Image {
 		oBase += len(f.Blocks) + 1
 	}
 	return img
+}
+
+// dataPad is the slack a data segment carries past its last object.
+const dataPad = 16
+
+// dataLayout is the static data layout of every image: globals in
+// declaration order, each at its natural alignment, then string constants
+// packed back to back with their NUL terminators. It returns each
+// object's address and the globals and strings segment sizes, dataPad
+// included.
+func dataLayout(prog *mir.Program) (globalAddr, stringAddr []uint64, gseg, sseg int) {
+	for _, g := range prog.Globals {
+		a := g.Type.Align()
+		gseg = (gseg + a - 1) / a * a
+		globalAddr = append(globalAddr, GlobalsBase+uint64(gseg))
+		gseg += g.Type.Size()
+	}
+	for _, s := range prog.Strings {
+		stringAddr = append(stringAddr, StringsBase+uint64(sseg))
+		sseg += len(s) + 1
+	}
+	return globalAddr, stringAddr, gseg + dataPad, sseg + dataPad
+}
+
+// CheckDataLayout reports whether prog's static data fits its segments.
+// The chunk table maps each 256 MiB chunk to one segment, so the globals
+// segment must end by StringsBase and the strings segment by HeapBase; a
+// program that overflows either would have its in-bounds accesses
+// resolve into the next segment. A negative size is an array size that
+// overflowed int.
+func CheckDataLayout(prog *mir.Program) error {
+	_, _, gseg, sseg := dataLayout(prog)
+	if gseg < 0 || gseg > StringsBase-GlobalsBase {
+		return fmt.Errorf("globals overflow their %d-byte segment", StringsBase-GlobalsBase)
+	}
+	if sseg > HeapBase-StringsBase {
+		return fmt.Errorf("string constants need %d bytes, over their %d-byte segment", sseg, HeapBase-StringsBase)
+	}
+	return nil
 }
 
 // Prog returns the program the image was built from.

@@ -366,9 +366,6 @@ func decodeExt(t *ctypes.Type) extKind {
 
 // New builds a Machine for prog.
 func New(prog *mir.Program, opts Options) *Machine {
-	if opts.Output == nil {
-		opts.Output = io.Discard
-	}
 	ws := opts.Worker
 	if ws == nil {
 		ws = NewWorkerState()
@@ -378,23 +375,33 @@ func New(prog *mir.Program, opts Options) *Machine {
 		img = NewImage(prog)
 	}
 	m := &Machine{
-		Prog:     prog,
-		Unit:     ws.unit(opts.PAConfig, opts.KeySeed),
+		Mem:      NewMemory(0, 0, opts.HeapSize, opts.StackSize),
 		ws:       ws,
-		img:      img,
-		cost:     opts.Cost,
-		out:      opts.Output,
 		hooks:    make(map[int64]Hook),
 		ppMods:   make(map[uint16]ppEntry),
-		maxSteps: opts.MaxSteps,
-		maxDepth: opts.MaxDepth,
+		heapEnd:  HeapBase + uint64(opts.HeapSize),
+		stackEnd: StackBase + uint64(opts.StackSize),
 	}
-	m.pacHits0, m.pacMisses0 = m.Unit.CacheStats()
-	m.cycles = m.cost.cycleTable()
 	m.initClassPtrs()
-	if img.sites > 0 {
-		m.sites = make([]*segment, img.sites)
-	}
+	m.prepare(img, opts)
+	return m
+}
+
+// prepare points m at img under opts: the one preparation path of both a
+// new machine and a worker's resident machine taking on its next run
+// (see WorkerState.MachineFor). Memory is wiped to its write watermarks
+// before anything else, so the resize that follows only ever hides or
+// exposes zero bytes; then the program, image, PA unit, cycle table,
+// tier state and site cache are swapped in, the data segments are sized
+// for img, and Reset restores the string constants and zeroes the
+// per-run state. Heap and stack sizes are fixed for a machine's life.
+func (m *Machine) prepare(img *Image, opts Options) {
+	m.Mem.wipe()
+	m.Prog, m.img = img.prog, img
+	m.Unit = m.ws.unit(opts.PAConfig, opts.KeySeed)
+	m.cost = opts.Cost
+	m.cycles = m.cost.cycleTable()
+	m.tier, m.tierThreshold = nil, 0
 	if opts.Tier {
 		m.tier = img.tierFor(opts.Cost)
 		m.tierThreshold = opts.TierThreshold
@@ -402,21 +409,16 @@ func New(prog *mir.Program, opts Options) *Machine {
 			m.tierThreshold = DefaultTierThreshold
 		}
 	}
-
-	m.Mem = NewMemory(img.gsize+16, img.ssize+16, opts.HeapSize, opts.StackSize)
-	for i, s := range prog.Strings {
-		b, err := m.Mem.Bytes(img.stringAddr[i], len(s)+1)
-		if err != nil {
-			panic(err)
-		}
-		copy(b, s)
-		b[len(s)] = 0
+	if n := int(img.sites); cap(m.sites) < n {
+		m.sites = make([]*segment, n)
+	} else {
+		m.sites = m.sites[:n]
+		clear(m.sites)
 	}
-	m.heapNext = HeapBase
-	m.heapEnd = HeapBase + uint64(opts.HeapSize)
-	m.stackNext = StackBase
-	m.stackEnd = StackBase + uint64(opts.StackSize)
-	return m
+	m.Mem.resizeData(img.gseg, img.sseg)
+	m.maxSteps, m.maxDepth = opts.MaxSteps, opts.MaxDepth
+	m.SetOutput(opts.Output)
+	m.Reset()
 }
 
 // SetContext installs a context whose cancellation the interpreter
@@ -441,28 +443,22 @@ func (m *Machine) SetOutput(w io.Writer) {
 }
 
 // Reset returns the machine to its just-constructed state without
-// allocating, so one machine can serve run after run of the same build:
-// every memory byte the previous run wrote is zeroed (segments track a
-// write watermark, so the wipe is proportional to what was actually
-// dirtied, and an attack hook's far poke is wiped as surely as a bump
-// allocation), string constants are restored, and all per-run counters,
-// hooks, externs and scratch state are cleared — a recycled arena never
-// leaks one run's register or memory contents into the next. The PA
-// unit's memo cache is deliberately kept warm (it can only skip
-// recomputing a PAC, never change one) and Stats re-bases on its
-// counters, so the next run still reports per-run deltas. The fused
-// superinstructions' monomorphic segment caches survive too: the memory
-// layout is identical across runs of one machine, so a trained site stays
-// correct. See WorkerState.MachineFor for the serving-side entry point
-// and the AllocBudget tests for the zero-allocation contract.
+// allocating, so one machine can serve run after run: every memory byte
+// the previous run wrote is zeroed (segments track a write watermark, so
+// the wipe is proportional to what was actually dirtied, and an attack
+// hook's far poke is wiped as surely as a bump allocation), string
+// constants are restored, and all per-run counters, hooks, externs and
+// scratch state are cleared — a recycled arena never leaks one run's
+// register or memory contents into the next. The PA unit's memo cache is
+// deliberately kept warm (it can only skip recomputing a PAC, never
+// change one) and Stats re-bases on its counters, so the next run still
+// reports per-run deltas. The fused superinstructions' monomorphic
+// segment caches survive a Reset, since the memory layout is unchanged;
+// re-pointing the machine at another image clears them (see prepare).
+// See WorkerState.MachineFor for the serving-side entry point and the
+// AllocBudget tests for the zero-allocation contract.
 func (m *Machine) Reset() {
-	for i := range m.Mem.segs {
-		s := &m.Mem.segs[i]
-		if s.hi > 0 {
-			clear(s.data[:s.hi])
-			s.hi = 0
-		}
-	}
+	m.Mem.wipe()
 	for i, str := range m.Prog.Strings {
 		b, err := m.Mem.Bytes(m.img.stringAddr[i], len(str)+1)
 		if err != nil {

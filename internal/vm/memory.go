@@ -57,13 +57,26 @@ func NewMemory(globalsSize, stringsSize, heapSize, stackSize int) *Memory {
 		{name: "heap", base: HeapBase, data: make([]byte, heapSize)},
 		{name: "stack", base: StackBase, data: make([]byte, stackSize)},
 	}}
+	m.mapChunks()
+	return m
+}
+
+// mapChunks rebuilds the chunk table from the segments' current sizes,
+// reusing the table's backing array when it is long enough.
+func (m *Memory) mapChunks() {
 	var top uint64
 	for _, s := range m.segs {
 		if end := s.base + uint64(len(s.data)); end > top {
 			top = end
 		}
 	}
-	m.byChunk = make([]*segment, top>>chunkShift+1)
+	n := int(top>>chunkShift) + 1
+	if cap(m.byChunk) < n {
+		m.byChunk = make([]*segment, n)
+	} else {
+		m.byChunk = m.byChunk[:n]
+		clear(m.byChunk)
+	}
 	for i := range m.segs {
 		s := &m.segs[i]
 		if len(s.data) == 0 {
@@ -73,7 +86,35 @@ func NewMemory(globalsSize, stringsSize, heapSize, stackSize int) *Memory {
 			m.byChunk[c] = s
 		}
 	}
-	return m
+}
+
+// wipe zeroes every byte written since the last wipe and resets the
+// write watermarks. Bytes past a watermark were never written, so after a
+// wipe each segment's whole backing array, capacity included, reads zero.
+func (m *Memory) wipe() {
+	for i := range m.segs {
+		s := &m.segs[i]
+		if s.hi > 0 {
+			clear(s.data[:s.hi])
+			s.hi = 0
+		}
+	}
+}
+
+// resizeData sizes the globals and strings segments for a new image,
+// keeping each backing array that is large enough and allocating a fresh
+// one otherwise. It must directly follow a wipe: only then is every byte
+// a shrink hides, or a regrowth within capacity exposes, zero.
+func (m *Memory) resizeData(globalsSize, stringsSize int) {
+	for i, n := range [2]int{globalsSize, stringsSize} {
+		s := &m.segs[i]
+		if n <= cap(s.data) {
+			s.data = s.data[:n]
+		} else {
+			s.data = make([]byte, n)
+		}
+	}
+	m.mapChunks()
 }
 
 func (m *Memory) find(addr uint64, n int) (*segment, int, error) {

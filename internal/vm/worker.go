@@ -17,40 +17,27 @@ import (
 // A WorkerState is NOT safe for concurrent use: it must be owned by
 // exactly one goroutine (the engine worker), and the Machines built from
 // it must run sequentially. Results are bit-identical with or without
-// reuse — the frame pool zeroes registers on reuse and the PAC cache can
-// only skip recomputing, never change, a PAC (see pa.Unit).
+// reuse — the frame pool zeroes registers on reuse, the resident machine
+// is wiped before each re-point, and the PAC cache can only skip
+// recomputing, never change, a PAC (see pa.Unit).
 type WorkerState struct {
 	frames     []*frame
 	argScratch []uint64
 	units      map[unitKey]*pa.Unit
 
-	// mach is the worker's resident machine: the last machine MachineFor
-	// built, kept for Reset-based reuse when the next run wants the same
-	// (image, config) shape. One slot, not a keyed cache — a machine pins
-	// its full Memory (megabytes), and real serving traffic is either
-	// monomorphic per worker or cheap to rebuild, exactly as cheap as the
-	// per-run vm.New it replaces.
-	mach    *Machine
-	machKey machineKey
+	// mach is the worker's resident machine, built once and re-pointed
+	// at each run's image for as long as the heap and stack sizes stay
+	// the same. One slot, not a keyed cache: a machine pins its full
+	// Memory (megabytes), and re-pointing it is a wipe of what the last
+	// run wrote plus a few field swaps, where building a fresh one
+	// allocates and zeroes that Memory. Serving traffic rotates through
+	// many (program, flavour) cells per worker, so a slot keyed on the
+	// image would miss on almost every request.
+	mach *Machine
 
 	// outBuf is the reusable output capture buffer, loaned out via
 	// OutputBuffer and returned (possibly grown) via StowOutputBuffer.
 	outBuf []byte
-}
-
-// machineKey is everything about an Options that shapes a constructed
-// Machine and cannot be re-pointed on an existing one. MaxSteps, MaxDepth
-// and Output are deliberately absent: they are plain per-run settings
-// MachineFor re-applies on reuse.
-type machineKey struct {
-	img   *Image
-	cfg   pa.Config
-	seed  uint64
-	heap  int
-	stack int
-	cost  CostModel
-	tier  bool
-	thr   int64
 }
 
 // unitKey identifies a PA unit by everything that determines its keys and
@@ -78,48 +65,27 @@ func (ws *WorkerState) unit(cfg pa.Config, seed uint64) *pa.Unit {
 	return u
 }
 
-// MachineFor returns a machine prepared to run prog under opts, reusing
-// the worker's resident machine when the run shape matches: same shared
-// image, PA config, key seed, memory sizes, cost model and tier setting.
-// A match costs one Reset (no allocation — see Machine.Reset for the
-// isolation argument); a mismatch builds a fresh machine exactly as
-// vm.New would and installs it as the new resident. Requires opts.Image
-// to be the shared image for prog — without one there is nothing to key
-// reuse on and MachineFor just builds privately.
+// MachineFor returns a machine prepared to run prog under opts. When the
+// worker's resident machine has the requested heap and stack sizes it is
+// re-pointed at the run's image, PA unit, cost model and tier setting
+// (see Machine.prepare for the isolation argument) and no allocation
+// happens once the worker is warm; otherwise a fresh machine is built
+// exactly as vm.New would and becomes the new resident. Requires
+// opts.Image to be the shared image for prog; without one MachineFor
+// just builds privately.
 func (ws *WorkerState) MachineFor(prog *mir.Program, opts Options) *Machine {
+	opts.Worker = ws
 	img := opts.Image
 	if img == nil || img.prog != prog {
-		opts.Worker = ws
 		return New(prog, opts)
 	}
-	thr := opts.TierThreshold
-	if opts.Tier && thr <= 0 {
-		thr = DefaultTierThreshold
-	}
-	if !opts.Tier {
-		thr = 0
-	}
-	k := machineKey{
-		img:   img,
-		cfg:   opts.PAConfig,
-		seed:  opts.KeySeed,
-		heap:  opts.HeapSize,
-		stack: opts.StackSize,
-		cost:  opts.Cost,
-		tier:  opts.Tier,
-		thr:   thr,
-	}
-	if m := ws.mach; m != nil && ws.machKey == k {
-		m.maxSteps = opts.MaxSteps
-		m.maxDepth = opts.MaxDepth
-		m.SetOutput(opts.Output)
-		m.Reset()
+	if m := ws.mach; m != nil &&
+		m.heapEnd == HeapBase+uint64(opts.HeapSize) && m.stackEnd == StackBase+uint64(opts.StackSize) {
+		m.prepare(img, opts)
 		return m
 	}
-	opts.Worker = ws
-	m := New(prog, opts)
-	ws.mach, ws.machKey = m, k
-	return m
+	ws.mach = New(prog, opts)
+	return ws.mach
 }
 
 // OutputBuffer loans out the worker's reusable output buffer (length 0,
