@@ -7,7 +7,7 @@
 //
 //	rstifuzz [-seed 1] [-n 500] [-attacks] [-synth] [-workers 2] \
 //	         [-corpus testdata/difftest] [-minimize] [-budget N] \
-//	         [-optimizer inherit|on|off] [-tier inherit|on|off] [-v]
+//	         [-optimizer inherit|on|off] [-v]
 //	rstifuzz -replay [-corpus testdata/difftest]
 //
 // Seeds seed..seed+n-1 each expand into one generated program checked
@@ -47,7 +47,6 @@ func run(args []string) int {
 		replay   = fs.Bool("replay", false, "re-check the committed seeds in <corpus>/seeds.txt")
 		verbose  = fs.Bool("v", false, "log every seed")
 		optmode  = fs.String("optimizer", "inherit", "optimizer mode for all phases: inherit, on or off")
-		tiermode = fs.String("tier", "inherit", "execution-tier mode for all phases: inherit, on or off")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -62,16 +61,6 @@ func run(args []string) int {
 		opt.Optimizer = difftest.OptimizerOff
 	default:
 		fmt.Fprintf(os.Stderr, "rstifuzz: unknown -optimizer mode %q\n", *optmode)
-		return 2
-	}
-	switch *tiermode {
-	case "inherit":
-	case "on":
-		opt.Tier = difftest.TierOn
-	case "off":
-		opt.Tier = difftest.TierOff
-	default:
-		fmt.Fprintf(os.Stderr, "rstifuzz: unknown -tier mode %q\n", *tiermode)
 		return 2
 	}
 	var seeds []uint64

@@ -11,7 +11,7 @@ package main
 //  2. Forwarding cost: non-owners adopt the owner's artifact over the
 //     peer endpoint; the record captures the forwarded-fetch p50/p99.
 //  3. Cold restart: a fresh daemon over one peer's artifact directory
-//     serves the full {mechanism} x {optimizer} x {tier} matrix with
+//     serves the full {mechanism} x {optimizer} matrix with
 //     zero instrumentation passes, first runs answered from persisted
 //     predecoded artifacts, every modelled number bit-identical to an
 //     independently compiled in-process reference.
@@ -281,31 +281,28 @@ func driveCluster(cfg clusterConfig) (*clusterReport, error) {
 		first := true
 		for _, mech := range matrixMechs {
 			for _, opt := range []string{"off", "on"} {
-				for _, tier := range []string{"off", "on"} {
-					t0 := time.Now()
-					var rr runResp
-					code, err := coldClient.post("/v1/run", runReq{
-						Source: sourceVariant(v), Mechanism: mech,
-						Optimizer: opt, Tier: tier,
-					}, &rr)
-					if err != nil || code != 200 {
-						return rec, fmt.Errorf("cold restart run %d/%s/%s/%s: status %d err %v",
-							v, mech, opt, tier, code, err)
-					}
-					if rr.Error != "" {
-						return rec, fmt.Errorf("cold restart run %d/%s/%s/%s failed: %s",
-							v, mech, opt, tier, rr.Error)
-					}
-					if first {
-						// The program's first request on the restarted daemon:
-						// includes the artifact load (decode + eager predecode),
-						// the whole cold path a real restart pays.
-						firstRunMs = append(firstRunMs, float64(time.Since(t0))/1e6)
-						first = false
-					}
-					served[v][mech+"|"+opt+"|"+tier] = cell{rr.Exit, rr.Cycles, rr.Instrs, rr.Output}
-					rec.ColdRestartMatrixRuns++
+				t0 := time.Now()
+				var rr runResp
+				code, err := coldClient.post("/v1/run", runReq{
+					Source: sourceVariant(v), Mechanism: mech, Optimizer: opt,
+				}, &rr)
+				if err != nil || code != 200 {
+					return rec, fmt.Errorf("cold restart run %d/%s/%s: status %d err %v",
+						v, mech, opt, code, err)
 				}
+				if rr.Error != "" {
+					return rec, fmt.Errorf("cold restart run %d/%s/%s failed: %s",
+						v, mech, opt, rr.Error)
+				}
+				if first {
+					// The program's first request on the restarted daemon:
+					// includes the artifact load (decode + eager predecode),
+					// the whole cold path a real restart pays.
+					firstRunMs = append(firstRunMs, float64(time.Since(t0))/1e6)
+					first = false
+				}
+				served[v][mech+"|"+opt] = cell{rr.Exit, rr.Cycles, rr.Instrs, rr.Output}
+				rec.ColdRestartMatrixRuns++
 			}
 		}
 	}
@@ -326,26 +323,21 @@ func driveCluster(cfg clusterConfig) (*clusterReport, error) {
 		for _, mechName := range matrixMechs {
 			mech, _ := sti.ParseMechanism(mechName)
 			for _, opt := range []string{"off", "on"} {
-				for _, tier := range []string{"off", "on"} {
-					rcfg := core.RunConfig{Optimize: core.OptimizeOff, Tier: core.TierOff}
-					if opt == "on" {
-						rcfg.Optimize = core.OptimizeOn
-					}
-					if tier == "on" {
-						rcfg.Tier = core.TierOn
-					}
-					res, err := comp.Run(mech, rcfg)
-					if err != nil {
-						return rec, err
-					}
-					got := served[v][mechName+"|"+opt+"|"+tier]
-					want := cell{res.Exit, res.Stats.Cycles, res.Stats.Instrs, res.Output}
-					if got != want {
-						bitIdentical = false
-						firstErr.CompareAndSwap(nil, fmt.Sprintf(
-							"cold restart diverged on program %d %s/%s/%s: served %+v, reference %+v",
-							v, mechName, opt, tier, got, want))
-					}
+				rcfg := core.RunConfig{Optimize: core.OptimizeOff}
+				if opt == "on" {
+					rcfg.Optimize = core.OptimizeOn
+				}
+				res, err := comp.Run(mech, rcfg)
+				if err != nil {
+					return rec, err
+				}
+				got := served[v][mechName+"|"+opt]
+				want := cell{res.Exit, res.Stats.Cycles, res.Stats.Instrs, res.Output}
+				if got != want {
+					bitIdentical = false
+					firstErr.CompareAndSwap(nil, fmt.Sprintf(
+						"cold restart diverged on program %d %s/%s: served %+v, reference %+v",
+						v, mechName, opt, got, want))
 				}
 			}
 		}

@@ -44,7 +44,7 @@ func TestClusterDriveSmoke(t *testing.T) {
 	if !rec.ColdRestartBitIdentical {
 		t.Error("cold restart matrix diverged from the in-process reference")
 	}
-	if want := cfg.Programs * len(matrixMechs) * 4; rec.ColdRestartMatrixRuns != want {
+	if want := cfg.Programs * len(matrixMechs) * 2; rec.ColdRestartMatrixRuns != want {
 		t.Errorf("cold restart ran %d matrix cells, want %d", rec.ColdRestartMatrixRuns, want)
 	}
 	if rec.ColdRestartFirstRunMs <= 0 {

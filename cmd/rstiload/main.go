@@ -67,7 +67,6 @@ type runReq struct {
 	Source    string `json:"source,omitempty"`
 	Mechanism string `json:"mechanism"`
 	Optimizer string `json:"optimizer,omitempty"`
-	Tier      string `json:"tier,omitempty"`
 }
 
 type runResp struct {

@@ -137,7 +137,7 @@ type clusterReport struct {
 	// Cold restart: a fresh daemon over one peer's artifact directory,
 	// first-run latency over the warm working set, instrumentation passes
 	// the restarted process ran while serving the full
-	// {mechanism} x {optimizer} x {tier} matrix (the contract is zero),
+	// {mechanism} x {optimizer} matrix (the contract is zero),
 	// and whether every modelled number matched an independently compiled
 	// in-process reference bit-for-bit.
 	ColdRestartFirstRunMs       float64

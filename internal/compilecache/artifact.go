@@ -6,7 +6,7 @@
 // carries the fully instrumented (and, for optimized flavors,
 // optimizer-processed) program plus its instrumentation and optimizer
 // statistics. Reload seeds every per-flavor build cell and predecodes
-// both execution-tier images off the request path, so the first run
+// its execution image off the request path, so the first run
 // after a cold restart costs zero instrumentation passes and zero
 // predecodes — the PAC-it-up/PACTight deployment argument
 // (instrumentation as the dominant cost) amortized once per *cluster*
@@ -167,11 +167,10 @@ func decodeArtifact(raw []byte) (*core.Compilation, error) {
 			OptStats:  sec.OptStats,
 		}
 		comp.SeedBuild(mech, sec.Optimized, b)
-		// Predecode both execution-tier image cells now, while the artifact
-		// is loading, so the first run at either tier finds its shared
-		// image ready: cold-start cost lives here, off the request path.
-		b.ImageFor(false)
-		b.ImageFor(true)
+		// Predecode the build's image now, while the artifact is loading,
+		// so the first run finds it ready: cold-start cost lives here, off
+		// the request path.
+		b.Image()
 	}
 	return comp, nil
 }

@@ -29,11 +29,10 @@ int main() {
 }
 `
 
-// runMatrix executes comp across the full standard flavor matrix at both
-// execution tiers and returns the observable outcome of every cell.
+// runMatrix executes comp across the full standard flavor matrix and
+// returns the observable outcome of every cell.
 type matrixCell struct {
 	flavor core.BuildFlavor
-	tier   bool
 	exit   int64
 	output string
 	stats  vm.Stats
@@ -43,23 +42,18 @@ func runMatrix(t *testing.T, comp *core.Compilation) []matrixCell {
 	t.Helper()
 	var cells []matrixCell
 	for _, fl := range core.StandardFlavors() {
-		for _, tier := range []bool{false, true} {
-			cfg := core.RunConfig{Optimize: core.OptimizeOff, Tier: core.TierOff}
-			if fl.Optimized {
-				cfg.Optimize = core.OptimizeOn
-			}
-			if tier {
-				cfg.Tier = core.TierOn
-			}
-			res, err := comp.Run(fl.Mech, cfg)
-			if err != nil {
-				t.Fatalf("%v opt=%v tier=%v: run: %v", fl.Mech, fl.Optimized, tier, err)
-			}
-			cells = append(cells, matrixCell{
-				flavor: fl, tier: tier,
-				exit: res.Exit, output: res.Output, stats: res.Stats,
-			})
+		cfg := core.RunConfig{Optimize: core.OptimizeOff}
+		if fl.Optimized {
+			cfg.Optimize = core.OptimizeOn
 		}
+		res, err := comp.Run(fl.Mech, cfg)
+		if err != nil {
+			t.Fatalf("%v opt=%v: run: %v", fl.Mech, fl.Optimized, err)
+		}
+		cells = append(cells, matrixCell{
+			flavor: fl,
+			exit:   res.Exit, output: res.Output, stats: res.Stats,
+		})
 	}
 	return cells
 }
@@ -67,9 +61,9 @@ func runMatrix(t *testing.T, comp *core.Compilation) []matrixCell {
 // TestArtifactReloadSkipsInstrumentationAndPredecode is the version-2
 // cold-start contract: reloading an artifact runs zero instrumentation
 // passes (every flavor section seeds its build cell), and executing the
-// full {mechanism} x {optimizer} x {tier} matrix afterwards runs zero
-// additional predecodes (both tier images were materialized at load
-// time, off the request path).
+// full {mechanism} x {optimizer} matrix afterwards runs zero additional
+// predecodes (every build's image was materialized at load time, off the
+// request path).
 func TestArtifactReloadSkipsInstrumentationAndPredecode(t *testing.T) {
 	dir := t.TempDir()
 
@@ -113,8 +107,8 @@ func TestArtifactReloadSkipsInstrumentationAndPredecode(t *testing.T) {
 	for i := range want {
 		w, g := want[i], got[i]
 		if g.exit != w.exit || g.output != w.output || g.stats != w.stats {
-			t.Fatalf("%v opt=%v tier=%v: reload diverged:\n  orig  exit=%d stats=%+v\n  reload exit=%d stats=%+v",
-				w.flavor.Mech, w.flavor.Optimized, w.tier, w.exit, w.stats, g.exit, g.stats)
+			t.Fatalf("%v opt=%v: reload diverged:\n  orig  exit=%d stats=%+v\n  reload exit=%d stats=%+v",
+				w.flavor.Mech, w.flavor.Optimized, w.exit, w.stats, g.exit, g.stats)
 		}
 	}
 }
@@ -244,7 +238,7 @@ func TestConcurrentWritersSharedDir(t *testing.T) {
 						errs <- err
 						return
 					}
-					res, err := comp.Run(0, core.RunConfig{Optimize: core.OptimizeOff, Tier: core.TierOff})
+					res, err := comp.Run(0, core.RunConfig{Optimize: core.OptimizeOff})
 					if err != nil {
 						errs <- err
 						return

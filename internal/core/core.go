@@ -75,32 +75,26 @@ type Build struct {
 	Optimized bool
 	OptStats  *opt.Stats
 
-	// img is the shared predecoded execution image, built once per
-	// execution tier on first use: every Program.Run caller and engine
-	// worker executing this build at that tier dispatches from the same
-	// predecode (and, for tier 1, the same hot-function profile and
-	// compiled closure bodies). Index 0 is the interpreter-only image,
-	// index 1 the threaded-tier image — separate cells so tier-enabled
-	// runs never leave profiling state on the tier-0 image.
-	imgOnce [2]sync.Once
-	img     [2]*vm.Image
+	// img is the shared predecoded execution image, built once on first
+	// use: every Program.Run caller and engine worker executing this
+	// build dispatches from the same predecode.
+	imgOnce sync.Once
+	img     *vm.Image
 }
 
-// Image returns the build's shared interpreter-tier execution image,
-// predecoding on first call. Concurrent callers coalesce on the
-// once-cell, mirroring the build coalescing one level up.
-func (b *Build) Image() *vm.Image { return b.ImageFor(false) }
-
-// ImageFor returns the build's shared execution image for the given tier,
-// predecoding on first call per (mechanism, optimized, tier) cell.
-func (b *Build) ImageFor(tier bool) *vm.Image {
-	i := 0
-	if tier {
-		i = 1
-	}
-	b.imgOnce[i].Do(func() { b.img[i] = vm.NewImage(b.Prog) })
-	return b.img[i]
+// Image returns the build's shared execution image, predecoding on first
+// call. Concurrent callers coalesce on the once-cell, mirroring the build
+// coalescing one level up.
+func (b *Build) Image() *vm.Image {
+	b.imgOnce.Do(func() { b.img = vm.NewImage(b.Prog) })
+	return b.img
 }
+
+// ImageFor returns Image.
+//
+// Deprecated: a build has one execution image; the tier argument is
+// ignored.
+func (b *Build) ImageFor(tier bool) *vm.Image { return b.Image() }
 
 // OptimizeMode selects whether a run executes the optimizer-processed
 // build. The zero value defers to DefaultOptimize (the RSTI_OPT
@@ -144,48 +138,19 @@ func DefaultOptimize() bool {
 	return defaultOpt
 }
 
-// TierMode selects whether a run may use the profile-guided
-// direct-threaded execution tier above the switch interpreter. The zero
-// value defers to DefaultTier (the RSTI_TIER environment toggle). The
-// tier changes host dispatch only: every modelled number is bit-identical
-// either way, so flipping it is always safe.
+// TierMode once selected an execution tier above the switch
+// interpreter.
+//
+// Deprecated: the interpreter is the only executor; every TierMode runs
+// it.
 type TierMode uint8
 
+// Deprecated: see TierMode.
 const (
-	TierDefault TierMode = iota // follow DefaultTier()
+	TierDefault TierMode = iota
 	TierOn
 	TierOff
 )
-
-// Enabled resolves the mode against the process default.
-func (m TierMode) Enabled() bool {
-	switch m {
-	case TierOn:
-		return true
-	case TierOff:
-		return false
-	}
-	return DefaultTier()
-}
-
-var (
-	defaultTierOnce sync.Once
-	defaultTier     bool
-)
-
-// DefaultTier reports the process-wide execution-tier default, read once
-// from the RSTI_TIER environment variable ("1", "on", "true" or "yes"
-// enable the threaded tier). Unset or anything else means interpreter
-// only.
-func DefaultTier() bool {
-	defaultTierOnce.Do(func() {
-		switch strings.ToLower(os.Getenv("RSTI_TIER")) {
-		case "1", "on", "true", "yes":
-			defaultTier = true
-		}
-	})
-	return defaultTier
-}
 
 // Compile runs the frontend, lowering and STI analysis. Frontend failures
 // carry the ErrParse / ErrTypeCheck sentinels for errors.Is; a program
@@ -315,9 +280,7 @@ type BuildFlavor struct {
 // StandardFlavors is the build matrix the persistent artifact format
 // covers: every mechanism in both optimizer modes, except the
 // uninstrumented baseline whose optimized build is its unoptimized one
-// (BuildMode folds them). The execution tier is not a flavor — tier 0 and
-// tier 1 share one instrumented program and differ only in which shared
-// image cell dispatches it.
+// (BuildMode folds them).
 func StandardFlavors() []BuildFlavor {
 	mechs := []sti.Mechanism{sti.None, sti.PARTS, sti.STWC, sti.STC, sti.STL, sti.Adaptive}
 	out := make([]BuildFlavor, 0, 2*len(mechs)-1)
@@ -443,9 +406,7 @@ type RunConfig struct {
 	// build. The zero value follows the process default (RSTI_OPT).
 	Optimize OptimizeMode
 
-	// Tier selects whether the run may promote hot functions to the
-	// direct-threaded execution tier. The zero value follows the process
-	// default (RSTI_TIER).
+	// Deprecated: Tier is ignored; see TierMode.
 	Tier TierMode
 }
 
@@ -465,10 +426,11 @@ func (c *Compilation) Run(mech sti.Mechanism, cfg RunConfig) (*RunResult, error)
 }
 
 // RunContext executes a build under ctx. Cancellation and cfg.Timeout are
-// enforced by the interpreter's step-loop checkpoints: the run returns a
-// RunResult whose Err is a *TrapError of kind vm.TrapCancelled wrapping
-// the context's error. Compile/instrumentation failures (not execution
-// outcomes) are returned as RunContext's own error.
+// enforced by the interpreter's step-loop checkpoints, every 1024
+// modelled steps: the run returns a RunResult whose Err is a *TrapError
+// of kind vm.TrapCancelled wrapping the context's error.
+// Compile/instrumentation failures (not execution outcomes) are returned
+// as RunContext's own error.
 func (c *Compilation) RunContext(ctx context.Context, mech sti.Mechanism, cfg RunConfig) (*RunResult, error) {
 	b, err := c.BuildMode(mech, cfg.Optimize.Enabled())
 	if err != nil {
@@ -480,9 +442,7 @@ func (c *Compilation) RunContext(ctx context.Context, mech sti.Mechanism, cfg Ru
 		defer cancel()
 	}
 	if cfg.Options.MaxSteps == 0 {
-		tier, thr := cfg.Options.Tier, cfg.Options.TierThreshold
 		cfg.Options = vm.DefaultOptions()
-		cfg.Options.Tier, cfg.Options.TierThreshold = tier, thr
 	}
 	if cfg.StepBudget > 0 {
 		cfg.Options.MaxSteps = cfg.StepBudget
@@ -505,19 +465,7 @@ func (c *Compilation) RunContext(ctx context.Context, mech sti.Mechanism, cfg Ru
 		cfg.Options.Output = sink
 	}
 	cfg.Options.Worker = cfg.Worker
-	// Resolve the execution tier: an explicit RunConfig.Tier wins, then an
-	// explicit Options.Tier (the vm-level escape hatch), then RSTI_TIER.
-	tierOn := cfg.Options.Tier
-	switch cfg.Tier {
-	case TierOn:
-		tierOn = true
-	case TierOff:
-		tierOn = false
-	default:
-		tierOn = tierOn || DefaultTier()
-	}
-	cfg.Options.Tier = tierOn
-	cfg.Options.Image = b.ImageFor(tierOn)
+	cfg.Options.Image = b.Image()
 	// An engine worker's run reuses the worker's resident machine when the
 	// (image, config) shape matches — a Reset instead of a rebuild, so
 	// steady-state serving constructs nothing per run.

@@ -101,9 +101,8 @@ func TestPACMemoizationAcrossMechanismAlternation(t *testing.T) {
 // TestPACMemoizationAfterAttackRun: an attacked run pushes forged and
 // replayed values through the shared unit's cache; subsequent benign
 // runs on the same WorkerState must be untouched by that history. The
-// benign runs cover another mechanism and the threaded tier too, so the
-// worker's resident machine is re-pointed at a different image straight
-// after the attack.
+// benign runs cover another mechanism too, so the worker's resident
+// machine is re-pointed at a different image straight after the attack.
 func TestPACMemoizationAfterAttackRun(t *testing.T) {
 	src := `
 int ok(void) { return 1; }
@@ -121,25 +120,18 @@ int main(void) { h = ok; __hook(1); return h(); }
 		return m.Mem.Poke(addr, tok, 8)
 	}}
 
-	// The tier-on run promotes main on its first block, so its benign
-	// runs execute threaded code.
 	benign := []struct {
 		name string
 		mech sti.Mechanism
-		cfg  RunConfig
 	}{
-		{"stwc", sti.STWC, RunConfig{Tier: TierOff}},
-		{"stl", sti.STL, RunConfig{Tier: TierOff}},
-		{"stwc-tier", sti.STWC, RunConfig{Tier: TierOn, Options: vm.Options{TierThreshold: 1}}},
+		{"stwc", sti.STWC},
+		{"stl", sti.STL},
 	}
 	cold := make([]fingerprint, len(benign))
 	for i, b := range benign {
-		res, err := c.Run(b.mech, b.cfg)
+		res, err := c.Run(b.mech, RunConfig{})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if b.cfg.Tier == TierOn && res.Stats.ThreadedInstrs == 0 {
-			t.Fatalf("%s: cold run executed no threaded code", b.name)
 		}
 		cold[i] = fingerprintOf(res)
 	}
@@ -154,9 +146,7 @@ int main(void) { h = ok; __hook(1); return h(); }
 			t.Fatalf("round %d: hijack not detected on warm worker state", round)
 		}
 		for i, b := range benign {
-			cfg := b.cfg
-			cfg.Worker = ws
-			res, err := c.Run(b.mech, cfg)
+			res, err := c.Run(b.mech, RunConfig{Worker: ws})
 			if err != nil {
 				t.Fatalf("round %d benign %s: %v", round, b.name, err)
 			}

@@ -9,7 +9,6 @@ import (
 	"rsti"
 	"rsti/internal/attack"
 	"rsti/internal/core"
-	"rsti/internal/vm"
 )
 
 // Options configures one oracle Check.
@@ -29,13 +28,6 @@ type Options struct {
 	// the dedicated optimizer phase comparing forced-on against
 	// forced-off benign executions.
 	Optimizer OptimizerMode
-	// Tier forces the direct-threaded execution tier on or off for every
-	// phase the same way (TierOn also lowers the promotion threshold so
-	// the short generated programs actually compile). The zero value
-	// inherits the process default (RSTI_TIER). Independent of this,
-	// Check always runs the dedicated tier phase comparing forced-on
-	// against forced-off executions.
-	Tier TierMode
 	// Synthesis enables the attack-synthesis phase: instead of (only) the
 	// generator's hand-written corruption variants, tampers are derived
 	// from the compiled program itself by attack.Synthesize — same-class
@@ -60,51 +52,16 @@ const (
 	OptimizerOff
 )
 
-// TierMode selects the execution-tier configuration the oracle's phases
-// run under.
-type TierMode uint8
-
-const (
-	// TierInherit follows the process default (RSTI_TIER).
-	TierInherit TierMode = iota
-	// TierOn forces the direct-threaded tier in every phase — the
-	// configuration the tier soak uses so the full attack matrix is
-	// exercised against threaded execution.
-	TierOn
-	// TierOff forces pure switch-interpreter execution.
-	TierOff
-)
-
-// tierPromoteThreshold is the promotion hotness the tier-forcing paths
-// run with: low enough that the short generated programs cross it and
-// execute compiled threaded bodies, rather than the tier trivially
-// passing by never promoting anything.
-const tierPromoteThreshold = 256
-
-// tierVMOptions is the VM configuration for tier-forced runs: the
-// defaults, except the lowered promotion threshold.
-func tierVMOptions() vm.Options {
-	o := vm.DefaultOptions()
-	o.TierThreshold = tierPromoteThreshold
-	return o
-}
-
-// modeOpts translates the modes into run options (nil for inherit).
+// modeOpts translates the optimizer mode into run options (nil for
+// inherit).
 func (o Options) modeOpts() []rsti.RunOption {
-	var opts []rsti.RunOption
 	switch o.Optimizer {
 	case OptimizerOn:
-		opts = append(opts, rsti.WithOptimizer(true))
+		return []rsti.RunOption{rsti.WithOptimizer(true)}
 	case OptimizerOff:
-		opts = append(opts, rsti.WithOptimizer(false))
+		return []rsti.RunOption{rsti.WithOptimizer(false)}
 	}
-	switch o.Tier {
-	case TierOn:
-		opts = append(opts, rsti.WithOptions(tierVMOptions()), rsti.WithTier(true))
-	case TierOff:
-		opts = append(opts, rsti.WithTier(false))
-	}
-	return opts
+	return nil
 }
 
 // DefaultStepBudget bounds one generated-program run. The largest
@@ -117,7 +74,7 @@ const DefaultStepBudget = 4 << 20
 // pipeline's semantics forbid.
 type Divergence struct {
 	Seed      uint64
-	Phase     string // "compile", "benign", "engine", "optimizer", "tier", "attack:<variant>", "synth:<family>"
+	Phase     string // "compile", "benign", "engine", "optimizer", "attack:<variant>", "synth:<family>"
 	Mechanism string
 	Detail    string
 }
@@ -202,10 +159,6 @@ var attackMechs = []rsti.Mechanism{rsti.None, rsti.PARTS, rsti.STWC, rsti.STC, r
 // checked for observation-equivalence against their unoptimized twins.
 var optimizerMechs = []rsti.Mechanism{rsti.STWC, rsti.STC, rsti.STL, rsti.Adaptive}
 
-// tierMechs are the mechanisms whose direct-threaded executions are
-// checked bit-identical against the switch interpreter.
-var tierMechs = []rsti.Mechanism{rsti.None, rsti.STWC, rsti.STC, rsti.STL}
-
 // Check generates cfg's program and runs the full differential oracle:
 //
 //  1. Benign equivalence — the program must exit cleanly with identical
@@ -218,20 +171,13 @@ var tierMechs = []rsti.Mechanism{rsti.None, rsti.STWC, rsti.STC, rsti.STL}
 //     benign exit and output exactly, and may only ever execute fewer
 //     PAC ops, instructions and cycles. This phase always runs with both
 //     configurations forced, regardless of Options.Optimizer.
-//  4. Tier equivalence — each mechanism's run with the direct-threaded
-//     execution tier forced on (with a promotion threshold low enough
-//     that the generated program's functions actually compile) must
-//     reproduce the tier-off run's full outcome bit-for-bit: exit,
-//     output, trap kind, and every modelled counter including cycles.
-//     This phase always runs with both configurations forced,
-//     regardless of Options.Tier.
-//  5. Attack gradient — each injected corruption must be caught
+//  4. Attack gradient — each injected corruption must be caught
 //     according to the mechanisms' guarantees, detection must be
 //     monotone in mechanism strictness (STC ⇒ STWC ⇒ Adaptive ⇒ STL,
 //     PARTS ⇒ STWC), the unprotected baseline must never security-trap,
 //     and a mechanism that does NOT detect must behave exactly like the
 //     baseline's attacked run.
-//  6. Attack synthesis (Options.Synthesis) — tampers derived from the
+//  5. Attack synthesis (Options.Synthesis) — tampers derived from the
 //     compiled program by attack.Synthesize run under every mechanism
 //     against their analysis-predicted detect/miss outcomes; any
 //     misprediction, monotonicity break or unclean miss is a
@@ -328,33 +274,14 @@ func Check(cfg Config, opt Options) (*Report, error) {
 		}
 	}
 
-	// Phase 4: tier equivalence — the direct-threaded tier must be an
-	// observationally invisible host-speed change. Both sides force the
-	// tier explicitly so the phase is meaningful whatever RSTI_TIER says.
-	optMode := opt
-	optMode.Tier = TierInherit // tier is what this phase varies
-	for _, mech := range tierMechs {
-		off, err := p.Run(mech, append([]rsti.RunOption{budget, rsti.WithTier(false)}, optMode.modeOpts()...)...)
-		if err != nil {
-			return nil, fmt.Errorf("tier off %s: %w", mech, err)
-		}
-		on, err := p.Run(mech, append([]rsti.RunOption{budget, rsti.WithOptions(tierVMOptions()), rsti.WithTier(true)}, optMode.modeOpts()...)...)
-		if err != nil {
-			return nil, fmt.Errorf("tier on %s: %w", mech, err)
-		}
-		if got, want := outcomeOf(on), outcomeOf(off); got != want {
-			rep.add("tier", mech.String(), "threaded tier diverges from interpreter: %+v vs %+v", got, want)
-		}
-	}
-
-	// Phase 5: the attack gradient.
+	// Phase 4: the attack gradient.
 	if opt.Attacks {
 		for _, v := range variants(cfg) {
 			checkAttack(rep, p, v, opt)
 		}
 	}
 
-	// Phase 6: attack synthesis — the machine-derived tamper set replaces
+	// Phase 5: attack synthesis — the machine-derived tamper set replaces
 	// trust in the hand-written variant list. Every generated program
 	// carries a __hook(1) site, so synthesis always has a corruption
 	// point; its internal confirmation already enforces prediction match,

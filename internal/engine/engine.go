@@ -84,12 +84,8 @@ type Stats struct {
 	Cancelled int64 `json:"cancelled"`
 	Panicked  int64 `json:"panicked"`
 	// Aggregate modelled execution volume and the PAC memoization
-	// counters summed over all completed runs. ThreadedInstrs is the
-	// subset of Instrs retired by the direct-threaded tier — it tells an
-	// operator how much of the serving volume runs promoted code without
-	// affecting any modelled number.
+	// counters summed over all completed runs.
 	Instrs         int64 `json:"instrs"`
-	ThreadedInstrs int64 `json:"threaded_instrs"`
 	Cycles         int64 `json:"cycles"`
 	PACCacheHits   int64 `json:"pac_cache_hits"`
 	PACCacheMisses int64 `json:"pac_cache_misses"`
@@ -152,7 +148,6 @@ type Engine struct {
 	cancelled atomic.Int64
 	panicked  atomic.Int64
 	instrs    atomic.Int64
-	threaded  atomic.Int64
 	cycles    atomic.Int64
 	pacHits   atomic.Int64
 	pacMisses atomic.Int64
@@ -239,7 +234,6 @@ func (e *Engine) runTask(job Job) func(context.Context, *vm.WorkerState) (*core.
 		res, err := job.Comp.RunContext(ctx, job.Mech, cfg)
 		if res != nil {
 			e.instrs.Add(res.Stats.Instrs)
-			e.threaded.Add(res.Stats.ThreadedInstrs)
 			e.cycles.Add(res.Stats.Cycles)
 			e.pacHits.Add(res.Stats.PACCacheHits)
 			e.pacMisses.Add(res.Stats.PACCacheMisses)
@@ -370,7 +364,6 @@ func (e *Engine) Stats() Stats {
 		Cancelled:      e.cancelled.Load(),
 		Panicked:       panicked,
 		Instrs:         e.instrs.Load(),
-		ThreadedInstrs: e.threaded.Load(),
 		Cycles:         e.cycles.Load(),
 		PACCacheHits:   e.pacHits.Load(),
 		PACCacheMisses: e.pacMisses.Load(),

@@ -186,14 +186,16 @@ func (u *Unit) PACBits() int {
 // shares one modifier — so the hit rate is high enough to skip the cipher
 // on most PA operations.
 func (u *Unit) pacFor(canonical uint64, k KeyID, modifier uint64) uint64 {
-	if pac, ok := u.probe(canonical, k, modifier); ok {
-		return pac
-	}
 	idx := pacHash(canonical, k, modifier) & (1<<pacCacheBits - 1)
 	sh := &u.shards[idx>>pacEntryBits]
+	e := &sh.entries[idx&(1<<pacEntryBits-1)]
+	if e.used && e.ptr == canonical && e.mod == modifier && e.key == uint8(k) {
+		sh.hits++
+		return e.pac
+	}
 	sh.misses++
 	pac := u.ciphers[k].Encrypt(canonical, modifier) & u.pacMask
-	sh.entries[idx&(1<<pacEntryBits-1)] = pacCacheEntry{ptr: canonical, mod: modifier, pac: pac, key: uint8(k), used: true}
+	*e = pacCacheEntry{ptr: canonical, mod: modifier, pac: pac, key: uint8(k), used: true}
 	return pac
 }
 
@@ -201,22 +203,6 @@ func (u *Unit) pacFor(canonical uint64, k KeyID, modifier uint64) uint64 {
 func pacHash(canonical uint64, k KeyID, modifier uint64) uint64 {
 	h := canonical ^ modifier*0x9E3779B97F4A7C15 ^ uint64(k)<<59
 	return h ^ h>>29
-}
-
-// probe answers a PAC lookup from the cache alone. A hit is counted; a
-// miss is NOT — the caller either falls through to the cipher (pacFor,
-// which counts the miss) or retries via Sign/Auth (which reach pacFor and
-// count it exactly once). Keeping the miss accounting in one place is what
-// lets FastSign/FastAuth below stay bit-identical to Sign/Auth.
-func (u *Unit) probe(canonical uint64, k KeyID, modifier uint64) (uint64, bool) {
-	idx := pacHash(canonical, k, modifier) & (1<<pacCacheBits - 1)
-	sh := &u.shards[idx>>pacEntryBits]
-	e := &sh.entries[idx&(1<<pacEntryBits-1)]
-	if e.used && e.ptr == canonical && e.mod == modifier && e.key == uint8(k) {
-		sh.hits++
-		return e.pac, true
-	}
-	return 0, false
 }
 
 // CacheStats reports the PAC memoization cache's hit and miss counts since
@@ -246,42 +232,6 @@ func (u *Unit) Sign(ptr uint64, k KeyID, modifier uint64) uint64 {
 		return ptr &^ u.pacMask
 	}
 	return canonical | ptr&u.tagMask | u.pacFor(canonical, k, modifier)
-}
-
-// FastSign is the memo-hit-only twin of Sign, used by the threaded tier's
-// signing closures: it answers from the PAC cache without touching the
-// cipher. On a miss it reports ok=false without counting anything; the
-// caller then falls back to Sign, which counts exactly one miss — so the
-// observable cache counters are bit-identical to calling Sign directly.
-func (u *Unit) FastSign(ptr uint64, k KeyID, modifier uint64) (signed uint64, ok bool) {
-	canonical := ptr & u.vaMask
-	if canonical == 0 {
-		return ptr &^ u.pacMask, true
-	}
-	pac, hit := u.probe(canonical, k, modifier)
-	if !hit {
-		return 0, false
-	}
-	return canonical | ptr&u.tagMask | pac, true
-}
-
-// FastAuth is the memo-hit-only twin of Auth. hit=false means the cache
-// had no answer (nothing was counted; fall back to Auth). When hit is
-// true, (authed, ok) carry exactly what Auth would have returned,
-// including the flipped error bits on a PAC mismatch.
-func (u *Unit) FastAuth(ptr uint64, k KeyID, modifier uint64) (authed uint64, ok, hit bool) {
-	canonical := ptr & u.vaMask
-	if canonical == 0 && ptr&u.pacMask == 0 {
-		return ptr, true, true // NULL authenticates as NULL; see Sign
-	}
-	want, cached := u.probe(canonical, k, modifier)
-	if !cached {
-		return 0, false, false
-	}
-	if ptr&u.pacMask == want {
-		return canonical | ptr&u.tagMask, true, true
-	}
-	return ptr ^ u.errorBits(), false, true
 }
 
 // Auth verifies the PAC on ptr under key k and modifier (the aut*

@@ -151,3 +151,78 @@ func TestExternalRSTIAwareLibraryWorks(t *testing.T) {
 		t.Errorf("RSTI-aware library failed: exit=%d err=%v", res.Exit, res.Err)
 	}
 }
+
+// externalStrlenSrc hands a signed pointer, loaded from a struct field,
+// straight to the strlen builtin. __hook(1) fires between the store that
+// signs the pointer and the call, so a test attacker can overwrite it.
+const externalStrlenSrc = `
+	char other[4];
+	struct rec { char *name; };
+	struct rec g;
+	int main(void) {
+		other[0] = 'x';
+		other[1] = 'y';
+		other[2] = 0;
+		g.name = "boundary";
+		__hook(1);
+		return (int) strlen(g.name);
+	}
+`
+
+// TestExternalBoundaryAuthenticates pins the paper's §1 "PAC stripping
+// at external-library boundaries" as this pass implements it, following
+// §7: a pointer argument to an extern is authenticated (aut), never just
+// stripped (xpac), so no build carries an xpac. The library receives a
+// usable raw pointer, and a pointer overwritten in memory before the
+// call traps in the caller, at the boundary, instead of reaching the
+// library. Without protection the overwrite goes through undetected.
+func TestExternalBoundaryAuthenticates(t *testing.T) {
+	c, err := core.Compile(externalStrlenSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overwrite := map[int64]vm.Hook{1: func(m *vm.Machine) error {
+		slot, _ := m.GlobalAddr("g")
+		other, _ := m.GlobalAddr("other")
+		return m.Mem.Poke(slot, other, 8)
+	}}
+
+	for _, mech := range []sti.Mechanism{sti.STWC, sti.STC, sti.STL} {
+		b, err := c.BuildMode(mech, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Stats.Strips != 0 {
+			t.Errorf("%s: build has %d xpac sites, want 0", mech, b.Stats.Strips)
+		}
+
+		res, err := c.Run(mech, core.RunConfig{Optimize: core.OptimizeOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Err != nil || res.Exit != int64(len("boundary")) {
+			t.Errorf("%s: benign run exit=%d err=%v, want %d", mech, res.Exit, res.Err, len("boundary"))
+		}
+		if res.Stats.PacStrips != 0 || res.Stats.PacAuths == 0 {
+			t.Errorf("%s: benign run executed %d xpac and %d aut, want 0 xpac and some aut",
+				mech, res.Stats.PacStrips, res.Stats.PacAuths)
+		}
+
+		res, err = c.Run(mech, core.RunConfig{Optimize: core.OptimizeOff, Hooks: overwrite})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trap == nil || res.Trap.Kind != vm.TrapAuthFailure || res.Trap.Fn != "main" {
+			t.Errorf("%s: overwritten argument gave trap %v, want an authentication failure in main", mech, res.Trap)
+		}
+	}
+
+	res, err := c.Run(sti.None, core.RunConfig{Hooks: overwrite})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil || res.Exit != int64(len("xy")) {
+		t.Errorf("none: overwritten argument gave exit=%d err=%v, want strlen of the attacker's string (%d)",
+			res.Exit, res.Err, len("xy"))
+	}
+}

@@ -62,7 +62,7 @@ func InstrumentCount() int64 { return instrumentCount.Load() }
 type Stats struct {
 	Signs           int // pac instructions inserted
 	Auths           int // aut instructions inserted
-	Strips          int // xpac instructions at extern boundaries
+	Strips          int // xpac instructions inserted: always 0, extern arguments are authenticated (see inserter.call)
 	ConvPairs       int // aut+pac re-signing pairs (cast / argument conversions)
 	PPAdds          int
 	PPSigns         int

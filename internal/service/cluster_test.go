@@ -134,12 +134,11 @@ func TestClusterSingleCompileAcrossPeers(t *testing.T) {
 
 // TestClusterBitIdenticalAcrossPeers: the modelled numbers a peer serves
 // from a fetched artifact are bit-identical to the owner's locally
-// compiled ones, across every mechanism, optimizer setting and execution
-// tier.
+// compiled ones, across every mechanism and optimizer setting.
 func TestClusterBitIdenticalAcrossPeers(t *testing.T) {
 	peers := startCluster(t, 3, "smoke-secret")
 
-	type key struct{ mech, opt, tier string }
+	type key struct{ mech, opt string }
 	type nums struct {
 		exit           int64
 		cycles, instrs int64
@@ -150,23 +149,20 @@ func TestClusterBitIdenticalAcrossPeers(t *testing.T) {
 		results[i] = make(map[key]nums)
 		for _, mech := range []string{"none", "parts", "rsti-stwc", "rsti-stc", "rsti-stl", "rsti-adaptive"} {
 			for _, opt := range []string{"off", "on"} {
-				for _, tier := range []string{"off", "on"} {
-					resp, body := postJSON(t, p.url+"/v1/run", map[string]any{
-						"source": clusterSrc, "mechanism": mech,
-						"optimizer": opt, "tier": tier,
-					})
-					if resp.StatusCode != http.StatusOK {
-						t.Fatalf("%s %s/%s/%s: status %d: %s", p.url, mech, opt, tier, resp.StatusCode, body)
-					}
-					var rr runResponse
-					if err := json.Unmarshal(body, &rr); err != nil {
-						t.Fatalf("unmarshal run response: %v", err)
-					}
-					if rr.Error != "" {
-						t.Fatalf("%s %s/%s/%s: run error: %s", p.url, mech, opt, tier, rr.Error)
-					}
-					results[i][key{mech, opt, tier}] = nums{rr.Exit, rr.Cycles, rr.Instrs, rr.Output}
+				resp, body := postJSON(t, p.url+"/v1/run", map[string]any{
+					"source": clusterSrc, "mechanism": mech, "optimizer": opt,
+				})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s %s/%s: status %d: %s", p.url, mech, opt, resp.StatusCode, body)
 				}
+				var rr runResponse
+				if err := json.Unmarshal(body, &rr); err != nil {
+					t.Fatalf("unmarshal run response: %v", err)
+				}
+				if rr.Error != "" {
+					t.Fatalf("%s %s/%s: run error: %s", p.url, mech, opt, rr.Error)
+				}
+				results[i][key{mech, opt}] = nums{rr.Exit, rr.Cycles, rr.Instrs, rr.Output}
 			}
 		}
 	}

@@ -13,7 +13,7 @@
 //	POST /v1/run/stream  same body; SSE response (output/result events)
 //	POST /v1/attack      {"scenario", "mechanism", "benign"?}
 //	GET  /v1/attacks     Table 1 scenario catalogue
-//	GET  /v1/metrics     engine + cache + tier + PAC-op + security counters
+//	GET  /v1/metrics     engine + cache + PAC-op + security counters
 //	GET  /v1/healthz     liveness
 //
 // Every /v1 error response uses one envelope: {"error": {"kind",
@@ -421,11 +421,9 @@ type runRequest struct {
 	// process default (RSTI_OPT). Optimized and unoptimized builds are
 	// cached independently, so flipping this per request is cheap.
 	Optimizer string `json:"optimizer,omitempty"`
-	// Tier selects the execution tier: "on" (profile-guided
-	// direct-threaded dispatch), "off" (switch interpreter), or "" for
-	// the process default (RSTI_TIER). The tier changes host dispatch
-	// speed only; every modelled number in the response is identical
-	// either way.
+	// Tier once selected an execution tier. It is still validated ("on",
+	// "off" or "") and otherwise ignored: every run executes on the one
+	// switch interpreter.
 	Tier string `json:"tier,omitempty"`
 	// NoWait sheds load instead of queueing: a full queue answers 429.
 	NoWait bool `json:"no_wait,omitempty"`
@@ -446,19 +444,16 @@ func parseOptimizer(w http.ResponseWriter, name string) (core.OptimizeMode, bool
 	return core.OptimizeDefault, false
 }
 
-// parseTier maps the wire field onto an execution-tier mode.
-func parseTier(w http.ResponseWriter, name string) (core.TierMode, bool) {
+// checkTier validates the ignored tier field, so a request that was
+// malformed before the tier was retired is still answered 400.
+func checkTier(w http.ResponseWriter, name string) bool {
 	switch name {
-	case "":
-		return core.TierDefault, true
-	case "on":
-		return core.TierOn, true
-	case "off":
-		return core.TierOff, true
+	case "", "on", "off":
+		return true
 	}
 	writeError(w, http.StatusBadRequest, KindBadRequest,
 		"unknown tier mode %q (want on, off, or empty)", name)
-	return core.TierDefault, false
+	return false
 }
 
 // trapJSON is the wire form of a machine trap.
@@ -533,8 +528,7 @@ func (s *Server) runConfig(w http.ResponseWriter, r *http.Request, req *runReque
 	if !ok {
 		return core.RunConfig{}, false
 	}
-	tierMode, ok := parseTier(w, req.Tier)
-	if !ok {
+	if !checkTier(w, req.Tier) {
 		return core.RunConfig{}, false
 	}
 	return core.RunConfig{
@@ -542,7 +536,6 @@ func (s *Server) runConfig(w http.ResponseWriter, r *http.Request, req *runReque
 		StepBudget:     requestTenant(r).clampStepBudget(req.StepBudget),
 		MaxOutputBytes: req.MaxOutputBytes,
 		Optimize:       optMode,
-		Tier:           tierMode,
 	}, true
 }
 
@@ -723,7 +716,6 @@ type metricsResponse struct {
 	engine.Stats
 	CompileCache compilecache.Stats      `json:"compile_cache"`
 	PACOps       map[string]pacOpMetrics `json:"pac_ops"`
-	Tier         tierMetrics             `json:"tier"`
 	Security     *securityMetrics        `json:"security,omitempty"`
 	// Cluster carries the ring/forwarding/peer-health snapshot; present
 	// only in cluster mode.
@@ -782,27 +774,11 @@ func (s *Server) securitySnapshot() *securityMetrics {
 	return m
 }
 
-// tierMetrics summarizes the direct-threaded execution tier for an
-// operator: how many function bodies this process has promoted to
-// threaded code, and what share of the served modelled instructions ran
-// through them.
-type tierMetrics struct {
-	Promotions     int64   `json:"promotions"`
-	ThreadedInstrs int64   `json:"threaded_instrs"`
-	ThreadedShare  float64 `json:"threaded_share"`
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	st := s.eng.Stats()
-	tier := tierMetrics{Promotions: vm.TierPromotions(), ThreadedInstrs: st.ThreadedInstrs}
-	if st.Instrs > 0 {
-		tier.ThreadedShare = float64(st.ThreadedInstrs) / float64(st.Instrs)
-	}
 	resp := metricsResponse{
-		Stats:            st,
+		Stats:            s.eng.Stats(),
 		CompileCache:     s.cache.Stats(),
 		PACOps:           s.pacOpsSnapshot(),
-		Tier:             tier,
 		Security:         s.securitySnapshot(),
 		Instrumentations: rsti.InstrumentCount(),
 		Runtime:          readRuntimeMetrics(),

@@ -274,6 +274,43 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 }
 
+// TestTierFieldIgnored: the /v1/run tier field outlived the execution
+// tier it selected. "", "on" and "off" are all accepted and serve
+// identical answers (anything else is still a 400, see
+// TestEnvelopeParity), and /v1/metrics carries no tier counters.
+func TestTierFieldIgnored(t *testing.T) {
+	ts, _ := startServer(t)
+
+	var want runResponse
+	for i, tier := range []string{"", "on", "off"} {
+		var run runResponse
+		if code := post(t, ts.URL+"/v1/run",
+			runRequest{Source: victimSrc, Mechanism: "rsti-stl", Tier: tier}, &run); code != 200 {
+			t.Fatalf("tier %q: status %d", tier, code)
+		}
+		if i == 0 {
+			want = run
+		} else if run != want {
+			t.Errorf("tier %q answered %+v, tier \"\" answered %+v", tier, run, want)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"tier", "threaded_instrs"} {
+		if _, ok := m[k]; ok {
+			t.Errorf("metrics still carry %q: %v", k, m[k])
+		}
+	}
+}
+
 // TestMetricsSecurityBlock checks /v1/metrics surfaces the latest
 // security-trajectory datapoint when the server is pointed at a
 // SECURITY_RESULTS.json, and omits the block (rather than failing) when

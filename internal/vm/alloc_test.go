@@ -136,44 +136,49 @@ type repointCase struct {
 }
 
 // repointRotation returns cells that differ in globals size, strings
-// size, tier on/off and cost model (PARTS' 22-cycle PAC charge), all with
-// the default heap and stack sizes, so one worker's resident machine
-// must be re-pointed between every pair of them.
+// size and cost model (PARTS' 22-cycle PAC charge), all with the default
+// heap and stack sizes, so one worker's resident machine must be
+// re-pointed between every pair of them.
 func repointRotation(t *testing.T) []repointCase {
 	t.Helper()
-	cell := func(name string, prog *mir.Program, tier bool, pac int64) repointCase {
+	cell := func(name string, prog *mir.Program, pac int64) repointCase {
 		opts := DefaultOptions()
 		opts.Image = NewImage(prog)
-		opts.Tier = tier
-		opts.TierThreshold = testTierThreshold
 		opts.Cost.PAC = pac
 		return repointCase{name: name, prog: prog, opts: opts}
 	}
 	pac := DefaultCostModel().PAC
-	greet := cell("greet-none", instrumentedProg(t, greetSrc, sti.None), false, pac)
+	greet := cell("greet-none", instrumentedProg(t, greetSrc, sti.None), pac)
 	greet.prints = true
 	return []repointCase{
-		cell("list-stc", allocBenchProg(t), false, pac),
-		cell("table-stwc-tier-parts", instrumentedProg(t, tableSrc, sti.STWC), true, 22),
-		cell("points-stl", instrumentedProg(t, pointsSrc, sti.STL), false, pac),
+		cell("list-stc", allocBenchProg(t), pac),
+		cell("table-stwc-parts", instrumentedProg(t, tableSrc, sti.STWC), 22),
+		cell("points-stl", instrumentedProg(t, pointsSrc, sti.STL), pac),
 		greet,
 	}
 }
 
 // residentMachine builds a machine the way a steady-state engine worker
 // holds one: shared image, worker state, then one warmup run so every
-// pool (frames, arg scratch, tier bodies) reaches capacity.
-func residentMachine(t *testing.T, prog *mir.Program, tier bool) *Machine {
+// pool (frames, arg scratch) reaches capacity.
+func residentMachine(t *testing.T, prog *mir.Program) *Machine {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Image = NewImage(prog)
-	opts.Tier = tier
-	opts.TierThreshold = testTierThreshold
 	m := New(prog, opts)
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("warmup run: %v", err)
 	}
 	return m
+}
+
+// modelled strips the host-side observability counters from a stats
+// snapshot, leaving the modelled numbers every run must reproduce.
+func modelled(s Stats) Stats {
+	s.PACCacheHits, s.PACCacheMisses = 0, 0
+	s.FusedAuthLoads, s.FusedSignStores, s.FusedAuthStores = 0, 0, 0
+	s.FusedAuthAddrLoads, s.FusedAuthAddrStores, s.FusedInstrs = 0, 0, 0
+	return s
 }
 
 // measureAllocs reports the average heap allocations of one steady-state
@@ -207,22 +212,9 @@ func measureAllocs(t *testing.T, m *Machine) float64 {
 // interpreter: a steady-state Reset+Run of an instrumented workload
 // performs zero heap allocations.
 func TestAllocBudgetInterpreter(t *testing.T) {
-	m := residentMachine(t, allocBenchProg(t), false)
+	m := residentMachine(t, allocBenchProg(t))
 	if n := measureAllocs(t, m); n != 0 {
 		t.Fatalf("interpreter steady-state Run allocates %.1f times per run, want 0", n)
-	}
-}
-
-// TestAllocBudgetTier pins the same contract on the direct-threaded tier:
-// after the warmup run promotes the hot functions, executing the compiled
-// closure chains allocates nothing.
-func TestAllocBudgetTier(t *testing.T) {
-	m := residentMachine(t, allocBenchProg(t), true)
-	if ts := m.img.TierStats(); ts.Promotions == 0 {
-		t.Fatalf("tier never promoted during warmup (threshold %d)", testTierThreshold)
-	}
-	if n := measureAllocs(t, m); n != 0 {
-		t.Fatalf("tier steady-state Run allocates %.1f times per run, want 0", n)
 	}
 }
 
@@ -332,7 +324,7 @@ const poisonWord = 0xA5A5A5A5A5A5A5A5
 // run's register contents into the next (multi-tenant isolation).
 func TestFramePoisoning(t *testing.T) {
 	prog := allocBenchProg(t)
-	m := residentMachine(t, prog, false)
+	m := residentMachine(t, prog)
 
 	m.Reset()
 	wantExit, err := m.Run()
@@ -376,7 +368,7 @@ func TestFramePoisoning(t *testing.T) {
 // bit-identical to a clean one.
 func TestResetWipesPoisonedMemory(t *testing.T) {
 	prog := allocBenchProg(t)
-	m := residentMachine(t, prog, false)
+	m := residentMachine(t, prog)
 
 	m.Reset()
 	wantExit, err := m.Run()
@@ -502,28 +494,18 @@ func BenchmarkSteadyStateRun(b *testing.B) {
 	if err != nil {
 		b.Fatalf("instrument: %v", err)
 	}
-	for _, tier := range []bool{false, true} {
-		name := "interp"
-		if tier {
-			name = "tier"
+	opts := DefaultOptions()
+	opts.Image = NewImage(prog)
+	m := New(prog, opts)
+	if _, err := m.Run(); err != nil {
+		b.Fatalf("warmup: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Reset()
+		if _, err := m.Run(); err != nil {
+			b.Fatalf("run: %v", err)
 		}
-		b.Run(name, func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.Image = NewImage(prog)
-			opts.Tier = tier
-			opts.TierThreshold = testTierThreshold
-			m := New(prog, opts)
-			if _, err := m.Run(); err != nil {
-				b.Fatalf("warmup: %v", err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Reset()
-				if _, err := m.Run(); err != nil {
-					b.Fatalf("run: %v", err)
-				}
-			}
-		})
 	}
 }

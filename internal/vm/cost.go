@@ -37,7 +37,7 @@ type Stats struct {
 	Calls     int64
 	PacSigns  int64
 	PacAuths  int64
-	PacStrips int64
+	PacStrips int64 // xpac executed; instrumentation emits none (extern arguments are authenticated)
 	PPOps     int64
 
 	// PAC memoization counters, copied from the machine's pa.Unit when a
@@ -58,9 +58,9 @@ type Stats struct {
 	FusedAuthAddrStores int64
 	FusedInstrs         int64
 
-	// ThreadedInstrs counts instructions executed by the direct-threaded
-	// tier (tier 1) rather than the switch interpreter. Host-side
-	// observability only: the tier charges bit-identical modelled numbers.
+	// Deprecated: ThreadedInstrs counted instructions retired by the
+	// direct-threaded execution tier, which no longer exists; it is
+	// always 0.
 	ThreadedInstrs int64
 }
 
@@ -86,8 +86,8 @@ func (s *Stats) PACCacheHitRate() float64 {
 	return float64(s.PACCacheHits) / float64(total)
 }
 
-// cycleTable flattens a CostModel into a per-opcode cycle charge so the
-// interpreter's accounting is one indexed add instead of a switch.
+// cycleTable flattens a CostModel into a per-opcode cycle charge, which
+// settle multiplies by each opcode's executed count.
 func (c *CostModel) cycleTable() [mir.NumOps]int64 {
 	var t [mir.NumOps]int64
 	for op := mir.Op(0); op < mir.NumOps; op++ {
@@ -107,52 +107,4 @@ func (c *CostModel) cycleTable() [mir.NumOps]int64 {
 		}
 	}
 	return t
-}
-
-// Instruction classes: which Stats counter (if any) an opcode bumps.
-// charge() used to resolve this with an 8-way switch on the hot path;
-// flattening it into an index table plus per-machine counter pointers
-// makes accounting three indexed adds with no branches, and gives the
-// threaded tier a way to pre-aggregate a whole segment's class counts.
-const (
-	clNone = iota // ops without a dedicated counter (dumps into a scratch cell)
-	clLoad
-	clStore
-	clCall
-	clSign
-	clAuth
-	clStrip
-	clPP
-	numClasses
-)
-
-// classOf maps each opcode to its counter class.
-var classOf = [mir.NumOps]uint8{
-	mir.Load: clLoad, mir.Store: clStore, mir.CallOp: clCall,
-	mir.PacSign: clSign, mir.PacAuth: clAuth, mir.PacStrip: clStrip,
-	mir.PPAdd: clPP, mir.PPSign: clPP, mir.PPAuth: clPP, mir.PPAddTBI: clPP,
-}
-
-// initClassPtrs wires the per-opcode counter pointers into m.Stats. Ops
-// with no counter share m.scratchCount so charge() stays branch-free.
-func (m *Machine) initClassPtrs() {
-	m.classByIdx = [numClasses]*int64{
-		clNone:  &m.scratchCount,
-		clLoad:  &m.Stats.Loads,
-		clStore: &m.Stats.Stores,
-		clCall:  &m.Stats.Calls,
-		clSign:  &m.Stats.PacSigns,
-		clAuth:  &m.Stats.PacAuths,
-		clStrip: &m.Stats.PacStrips,
-		clPP:    &m.Stats.PPOps,
-	}
-	for op := mir.Op(0); op < mir.NumOps; op++ {
-		m.classPtr[op] = m.classByIdx[classOf[op]]
-	}
-}
-
-func (m *Machine) charge(op mir.Op) {
-	m.Stats.Instrs++
-	m.Stats.Cycles += m.cycles[op]
-	*m.classPtr[op]++
 }

@@ -36,17 +36,13 @@ func (fd funcDec) block(i int) []decInstr { return fd.ops[fd.off[i]:fd.off[i+1]]
 // workers, Program.Run callers, and eval sweeps stop re-predecoding per
 // run. Pass it via Options.Image; a Machine built without one predecodes
 // privately.
-//
-// The threaded tier's shared profile and compiled bodies also hang off
-// the Image (behind internal atomics), so promotion happens once per
-// program no matter how many machines execute it concurrently.
 type Image struct {
 	prog *mir.Program
 
 	// arena holds every non-extern function's predecoded instruction
 	// metadata in one contiguous allocation, blockOff the matching flat
 	// per-block offset index: one allocation each per image instead of
-	// one slice per block, so both execution tiers walk a single
+	// one slice per block, so the interpreter walks a single
 	// cache-friendly run of 16-byte records. dec maps a function to its
 	// view of the two arenas.
 	arena    []decInstr
@@ -72,12 +68,6 @@ type Image struct {
 	sites uint32
 
 	fused FuseCounts // static superinstruction groups marked by predecode
-
-	// tier holds the lazily-created shared profile/promotion table for
-	// the direct-threaded execution tier (threaded.go). It is created by
-	// the first tier-enabled machine and pinned to that machine's cost
-	// model; the Image itself stays immutable.
-	tier atomic.Pointer[tierState]
 }
 
 // NewImage predecodes prog into a shareable execution image.
@@ -190,53 +180,3 @@ func (img *Image) FusedPairs() (authLoads, signStores int) {
 // FusedGroups reports all static superinstruction groups predecode marked,
 // by kind.
 func (img *Image) FusedGroups() FuseCounts { return img.fused }
-
-// tierFor returns the image's shared tier state, creating it on first use
-// and pinning it to the given cost model. Compiled segments bake their
-// batched cycle charges in at compile time, so a machine whose cost model
-// differs from the pinned one cannot share the bodies — it gets nil and
-// simply stays on the interpreter (which reads its own cycle table).
-func (img *Image) tierFor(cost CostModel) *tierState {
-	if ts := img.tier.Load(); ts != nil {
-		if ts.cost == cost {
-			return ts
-		}
-		return nil
-	}
-	ts := newTierState(img.prog, cost)
-	if img.tier.CompareAndSwap(nil, ts) {
-		return ts
-	}
-	if cur := img.tier.Load(); cur != nil && cur.cost == cost {
-		return cur
-	}
-	return nil
-}
-
-// TierStats is a host-side snapshot of the image's threaded-tier activity.
-type TierStats struct {
-	Promotions    int64 // threaded bodies compiled (exactly one per hot function)
-	CompiledFuncs int64 // functions with an installed threaded body
-	Closures      int64 // closures in all compiled bodies
-	FusedClosures int64 // superinstruction closures among them
-}
-
-// TierStats reports the image's tier activity (zero when no tier-enabled
-// machine ever ran this image).
-func (img *Image) TierStats() TierStats {
-	ts := img.tier.Load()
-	if ts == nil {
-		return TierStats{}
-	}
-	st := TierStats{
-		Promotions:    ts.promotions.Load(),
-		Closures:      ts.closures.Load(),
-		FusedClosures: ts.fusedClosures.Load(),
-	}
-	for _, p := range ts.prof {
-		if p.body.Load() != nil {
-			st.CompiledFuncs++
-		}
-	}
-	return st
-}

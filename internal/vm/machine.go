@@ -42,19 +42,6 @@ type Options struct {
 	// per-run predecoding. Nil (or a mismatched program) predecodes
 	// privately.
 	Image *Image
-
-	// Tier enables the profile-guided direct-threaded execution tier:
-	// functions whose observed instruction count crosses TierThreshold are
-	// compiled to chained closures (see threaded.go). Every modelled
-	// number stays bit-identical to the interpreter; only host dispatch
-	// gets cheaper. The compiled bodies and profile live on the Image, so
-	// concurrent machines share one promotion.
-	Tier bool
-
-	// TierThreshold overrides the promotion hotness threshold (modelled
-	// instructions observed in a function before its body is compiled).
-	// Zero means DefaultTierThreshold.
-	TierThreshold int64
 }
 
 // DefaultOptions returns the configuration used by the experiments.
@@ -82,17 +69,17 @@ type Machine struct {
 	Unit *pa.Unit
 	Mem  *Memory
 
+	// Stats is current whenever no run is in progress: during a run the
+	// step loop counts executed instructions per opcode in ops, and Run
+	// and Call fold those counts into Instrs, Cycles and the per-class
+	// counters when they return or trap (see settle).
 	Stats  Stats
-	cost   CostModel
-	cycles [mir.NumOps]int64 // per-opcode charge, flattened from cost
+	cycles [mir.NumOps]int64 // per-opcode charge, flattened from the cost model
 
-	// Branch-free per-opcode class counting: classPtr[op] points at the
-	// Stats counter the opcode bumps (or scratchCount when it has none);
-	// classByIdx is the same set indexed by class for the threaded tier's
-	// batched segment accounting.
-	classPtr     [mir.NumOps]*int64
-	classByIdx   [numClasses]*int64
-	scratchCount int64
+	// ops counts executed instructions per opcode, not yet settled. It
+	// spans the whole range of mir.Op (a uint8), so the step loop's count
+	// bump needs no bounds check.
+	ops [256]int64
 
 	heapNext  uint64
 	heapEnd   uint64
@@ -107,6 +94,12 @@ type Machine struct {
 	steps    int64
 	maxSteps int64
 	maxDepth int
+
+	// check is the step count at which the step loop next leaves its fast
+	// path (see checkpoint): the budget trip point or, under a
+	// cancellable context, the next cancellation checkpoint, whichever
+	// comes first. SetContext and Reset recompute it.
+	check int64
 
 	// Hot-path machinery. ws holds the frame pool (recycled call frames,
 	// so steady-state execution allocates nothing per call) and the
@@ -137,25 +130,13 @@ type Machine struct {
 	// is a warm one shared by a WorkerState.
 	pacHits0, pacMisses0 uint64
 
-	// Threaded-tier state (threaded.go). tier is the image's shared
-	// profile/promotion table, nil when the tier is off. tErr/tRet carry a
-	// threaded body's trap or return value out of the closure chain (a
-	// closure signals by storing here and returning nil). segBatched marks
-	// that the currently-running segment pre-charged its whole cost, so a
-	// trapping closure must refund the unexecuted suffix.
-	tier          *tierState
-	tierThreshold int64
-	tErr          error
-	tRet          uint64
-	segBatched    bool
-
 	exitCode *int64
 }
 
 // ctxCheckInterval is how many interpreted steps may pass between context
-// cancellation checks. At ~100M modelled instrs/s a 1024-step interval
-// bounds cancellation latency to ~10µs of host time while keeping the
-// per-step cost of cancellation support to one branch on a local counter.
+// cancellation checks. At ~50M modelled instrs/s a 1024-step interval
+// bounds cancellation latency to ~20µs of host time; the poll itself
+// rides on the step loop's one checkpoint compare.
 const ctxCheckInterval = 1024
 
 type frame struct {
@@ -187,7 +168,7 @@ const (
 
 // fuseKind marks an instruction that dispatches its successors in the
 // same interpreter switch arm (a superinstruction group). The mark sits
-// on the group's first instruction; fuseLen gives the group size.
+// on the group's first instruction.
 type fuseKind uint8
 
 const (
@@ -198,18 +179,6 @@ const (
 	fuseAuthAddrLoad           // aut ; fieldaddr/indexaddr off it ; load
 	fuseAuthAddrStore          // aut ; fieldaddr/indexaddr off it ; store
 )
-
-// fuseLen returns the number of instructions in a fused group (0 for an
-// unfused instruction).
-func fuseLen(k fuseKind) int {
-	switch k {
-	case fuseAuthLoad, fuseSignStore, fuseAuthStore:
-		return 2
-	case fuseAuthAddrLoad, fuseAuthAddrStore:
-		return 3
-	}
-	return 0
-}
 
 // FuseCounts tallies the static fused groups predecode marked in one
 // function (or, summed, one image).
@@ -382,7 +351,6 @@ func New(prog *mir.Program, opts Options) *Machine {
 		heapEnd:  HeapBase + uint64(opts.HeapSize),
 		stackEnd: StackBase + uint64(opts.StackSize),
 	}
-	m.initClassPtrs()
 	m.prepare(img, opts)
 	return m
 }
@@ -391,24 +359,15 @@ func New(prog *mir.Program, opts Options) *Machine {
 // new machine and a worker's resident machine taking on its next run
 // (see WorkerState.MachineFor). Memory is wiped to its write watermarks
 // before anything else, so the resize that follows only ever hides or
-// exposes zero bytes; then the program, image, PA unit, cycle table,
-// tier state and site cache are swapped in, the data segments are sized
+// exposes zero bytes; then the program, image, PA unit, cycle table and
+// site cache are swapped in, the data segments are sized
 // for img, and Reset restores the string constants and zeroes the
 // per-run state. Heap and stack sizes are fixed for a machine's life.
 func (m *Machine) prepare(img *Image, opts Options) {
 	m.Mem.wipe()
 	m.Prog, m.img = img.prog, img
 	m.Unit = m.ws.unit(opts.PAConfig, opts.KeySeed)
-	m.cost = opts.Cost
-	m.cycles = m.cost.cycleTable()
-	m.tier, m.tierThreshold = nil, 0
-	if opts.Tier {
-		m.tier = img.tierFor(opts.Cost)
-		m.tierThreshold = opts.TierThreshold
-		if m.tierThreshold <= 0 {
-			m.tierThreshold = DefaultTierThreshold
-		}
-	}
+	m.cycles = opts.Cost.cycleTable()
 	if n := int(img.sites); cap(m.sites) < n {
 		m.sites = make([]*segment, n)
 	} else {
@@ -424,12 +383,13 @@ func (m *Machine) prepare(img *Image, opts Options) {
 // SetContext installs a context whose cancellation the interpreter
 // honours: the step loop polls it every ctxCheckInterval steps and stops
 // with a TrapCancelled (whose Cause is ctx.Err()) once it is done. A nil
-// or never-cancelled context costs one counter test per step.
+// or never-cancelled context is never polled.
 func (m *Machine) SetContext(ctx context.Context) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil // not cancellable; skip polling entirely
 	}
 	m.ctx = ctx
+	m.check = m.nextCheck()
 }
 
 // SetOutput redirects program output (nil restores the discard sink).
@@ -468,14 +428,14 @@ func (m *Machine) Reset() {
 		b[len(str)] = 0
 	}
 	m.Stats = Stats{}
+	m.ops = [256]int64{}
 	m.steps = 0
-	m.scratchCount = 0
 	m.heapNext = HeapBase
 	m.stackNext = StackBase
 	m.frames = m.frames[:0]
 	m.exitCode = nil
-	m.tErr, m.tRet, m.segBatched = nil, 0, false
 	m.ctx = nil
+	m.check = m.nextCheck()
 	clear(m.hooks)
 	clear(m.externs)
 	clear(m.ppMods)
@@ -603,19 +563,35 @@ func (m *Machine) VarAddr(fn, name string) (uint64, bool) {
 	return 0, false
 }
 
-// syncPACStats copies the PA unit's memoization counters into Stats,
-// relative to the counts at machine construction (a shared worker unit
-// accumulates across runs; Stats always reports this run's share).
-func (m *Machine) syncPACStats() {
+// settle brings Stats up to date when a run returns or traps. It folds
+// the per-opcode counts the step loop kept into Instrs, Cycles and the
+// per-class counters, then clears them; chargeBytes adds to Cycles
+// directly. It then copies the PA unit's memoization counters, relative
+// to the counts at the last Reset (a shared worker unit accumulates
+// across runs; Stats always reports this run's share).
+func (m *Machine) settle() {
+	s, n := &m.Stats, &m.ops
+	for op, c := range n[:mir.NumOps] {
+		s.Instrs += c
+		s.Cycles += c * m.cycles[op]
+	}
+	s.Loads += n[mir.Load]
+	s.Stores += n[mir.Store]
+	s.Calls += n[mir.CallOp]
+	s.PacSigns += n[mir.PacSign]
+	s.PacAuths += n[mir.PacAuth]
+	s.PacStrips += n[mir.PacStrip]
+	s.PPOps += n[mir.PPAdd] + n[mir.PPSign] + n[mir.PPAuth] + n[mir.PPAddTBI]
+	*n = [256]int64{}
 	hits, misses := m.Unit.CacheStats()
-	m.Stats.PACCacheHits = int64(hits - m.pacHits0)
-	m.Stats.PACCacheMisses = int64(misses - m.pacMisses0)
+	s.PACCacheHits = int64(hits - m.pacHits0)
+	s.PACCacheMisses = int64(misses - m.pacMisses0)
 }
 
 // Run executes __init then main and returns main's exit value (or the
 // value passed to exit()).
 func (m *Machine) Run() (int64, error) {
-	defer m.syncPACStats()
+	defer m.settle()
 	if initFn, ok := m.Prog.Func(mir.InitFuncName); ok {
 		if _, err := m.exec(initFn, nil); err != nil {
 			if m.exitCode != nil {
@@ -653,7 +629,7 @@ func (m *Machine) Call(name string, args ...uint64) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("vm: no function %q", name)
 	}
-	defer m.syncPACStats()
+	defer m.settle()
 	return m.exec(f, args)
 }
 
@@ -682,24 +658,58 @@ func (m *Machine) canonical(ptr uint64, f *mir.Func, in *mir.Instr) (uint64, err
 	return m.Unit.Canonical(ptr), nil
 }
 
-// stepGate performs the per-instruction admission bookkeeping: the step
-// counter, the step-budget trap and the cancellation checkpoint. The
-// main loop and the fused superinstruction tails share it so a fused
-// pair's accounting stays bit-identical to separate dispatch.
-func (m *Machine) stepGate(f *mir.Func, in *mir.Instr) error {
+// step admits one instruction of a fused group exactly as the main loop
+// admits every instruction (see exec), so a fused group's accounting and
+// trap attribution are those of separate dispatch.
+func (m *Machine) step(f *mir.Func, in *mir.Instr) error {
 	m.steps++
+	if m.steps >= m.check {
+		if err := m.checkpoint(f, in); err != nil {
+			return err
+		}
+	}
+	m.ops[in.Op]++
+	return nil
+}
+
+// checkpoint is the step loop's slow path, taken when steps reaches
+// check. Past the budget it traps; at a multiple of ctxCheckInterval
+// under a cancellable context it polls the context; otherwise it moves
+// check on to the next checkpoint. The step that trips either trap is
+// counted in steps (and named in the message) but never charged: the
+// caller bumps the opcode count only once checkpoint lets it through, so
+// a budget or cancellation trap leaves Stats exactly as the last
+// instruction that ran left them.
+func (m *Machine) checkpoint(f *mir.Func, in *mir.Instr) error {
 	if m.steps > m.maxSteps {
 		return m.trap(TrapMaxSteps, f, in, "%d steps", m.steps)
 	}
 	if m.ctx != nil && m.steps%ctxCheckInterval == 0 {
-		return m.cancelled(f, in)
+		if err := m.cancelled(f, in); err != nil {
+			return err
+		}
 	}
+	m.check = m.nextCheck()
 	return nil
 }
 
+// nextCheck returns the step count of the next checkpoint: the budget
+// trip point (MaxSteps+1, saturating at math.MaxInt64) or, when a
+// cancellable context is installed, the next multiple of
+// ctxCheckInterval after the current step, whichever is smaller.
+func (m *Machine) nextCheck() int64 {
+	next := int64(math.MaxInt64)
+	if m.maxSteps < math.MaxInt64 {
+		next = m.maxSteps + 1
+	}
+	if m.ctx != nil {
+		next = min(next, (m.steps/ctxCheckInterval+1)*ctxCheckInterval)
+	}
+	return next
+}
+
 // cancelled polls the machine's context at a cancellation checkpoint and
-// converts a done context into the TrapCancelled attributed to in. It is
-// the cold half of the step gate, outlined so the hot loop inlines.
+// converts a done context into the TrapCancelled attributed to in.
 func (m *Machine) cancelled(f *mir.Func, in *mir.Instr) error {
 	cerr := m.ctx.Err()
 	if cerr == nil {
@@ -721,10 +731,6 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 	if len(m.frames) >= m.maxDepth {
 		return 0, m.trap(TrapStackOverflow, f, nil, "call depth %d", len(m.frames))
 	}
-	var prof *funcProfile
-	if m.tier != nil {
-		prof = m.tier.prof[f]
-	}
 	fr := m.getFrame(f)
 	copy(fr.regs, args)
 	m.frames = append(m.frames, fr)
@@ -737,11 +743,6 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 	decoded := m.img.dec[f]
 	blk := f.Blocks[0]
 	dblk := decoded.block(0)
-	if prof != nil {
-		if tf := m.noteBlock(prof, f, blk); tf != nil {
-			return m.runThreaded(tf, fr, 0)
-		}
-	}
 	instrs := blk.Instrs
 	regs := fr.regs
 	ip := 0
@@ -750,21 +751,17 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 			return 0, m.trap(TrapOutOfBounds, f, nil, "fell off block %s", blk.Name)
 		}
 		in := &instrs[ip]
-		// The step gate, inlined: the budget test and the (usually-skipped)
-		// cancellation checkpoint are the whole per-instruction admission
-		// cost; the trap constructors stay in outlined cold paths.
+		// Step accounting, inlined: one increment, one compare against the
+		// next checkpoint (budget or cancellation poll, both handled in
+		// the outlined checkpoint), one per-opcode count. Instrs, Cycles
+		// and the class counters are derived from the counts by settle.
 		m.steps++
-		if m.steps > m.maxSteps {
-			return 0, m.trap(TrapMaxSteps, f, in, "%d steps", m.steps)
-		}
-		if m.ctx != nil && m.steps%ctxCheckInterval == 0 {
-			if err := m.cancelled(f, in); err != nil {
+		if m.steps >= m.check {
+			if err := m.checkpoint(f, in); err != nil {
 				return 0, err
 			}
 		}
-		m.Stats.Instrs++
-		m.Stats.Cycles += m.cycles[in.Op]
-		*m.classPtr[in.Op]++
+		m.ops[in.Op]++
 
 		switch in.Op {
 		case mir.Nop:
@@ -815,11 +812,7 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 				return 0, err
 			}
 			d := &dblk[ip]
-			v := regs[in.B]
-			if d.ext == extF32 {
-				v = uint64(math.Float32bits(float32(math.Float64frombits(v))))
-			}
-			if err := m.Mem.Store(addr, v, int(d.size)); err != nil {
+			if err := m.Mem.Store(addr, narrowDec(regs[in.B], d.ext), int(d.size)); err != nil {
 				return 0, m.trap(TrapOutOfBounds, f, in, "%v", err)
 			}
 
@@ -880,11 +873,6 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 		case mir.Jmp:
 			blk = f.Blocks[in.Targets[0]]
 			dblk = decoded.block(blk.Index)
-			if prof != nil {
-				if tf := m.noteBlock(prof, f, blk); tf != nil {
-					return m.runThreaded(tf, fr, blk.Index)
-				}
-			}
 			instrs = blk.Instrs
 			ip = 0
 			continue
@@ -895,11 +883,6 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 				blk = f.Blocks[in.Targets[1]]
 			}
 			dblk = decoded.block(blk.Index)
-			if prof != nil {
-				if tf := m.noteBlock(prof, f, blk); tf != nil {
-					return m.runThreaded(tf, fr, blk.Index)
-				}
-			}
 			instrs = blk.Instrs
 			ip = 0
 			continue
@@ -913,10 +896,9 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 				// memory fault names the store, not the sign).
 				ip++
 				in = &instrs[ip]
-				if err := m.stepGate(f, in); err != nil {
+				if err := m.step(f, in); err != nil {
 					return 0, err
 				}
-				m.charge(mir.Store)
 				m.Stats.FusedSignStores++
 				m.Stats.FusedInstrs += 2
 				addr, err := m.canonical(regs[in.A], f, in)
@@ -924,11 +906,7 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 					return 0, err
 				}
 				d := &dblk[ip]
-				sv := regs[in.B]
-				if d.ext == extF32 {
-					sv = uint64(math.Float32bits(float32(math.Float64frombits(sv))))
-				}
-				if err := m.monoStore(d.site, addr, sv, int(d.size)); err != nil {
+				if err := m.monoStore(d.site, addr, narrowDec(regs[in.B], d.ext), int(d.size)); err != nil {
 					return 0, m.trap(TrapOutOfBounds, f, in, "%v", err)
 				}
 			}
@@ -940,18 +918,17 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 			}
 			regs[in.Dst] = v
 			// Fused superinstruction tails. An authentication failure above
-			// traps naming the aut; each fused follower runs its own step
-			// gate and charge, so accounting and trap attribution stay
-			// bit-identical to separate dispatch (a memory fault names the
-			// load/store, never the aut).
+			// traps naming the aut; each fused follower is admitted by step,
+			// so accounting and trap attribution stay bit-identical to
+			// separate dispatch (a memory fault names the load/store, never
+			// the aut).
 			switch dblk[ip].fuse {
 			case fuseAuthLoad:
 				ip++
 				in = &instrs[ip]
-				if err := m.stepGate(f, in); err != nil {
+				if err := m.step(f, in); err != nil {
 					return 0, err
 				}
-				m.charge(mir.Load)
 				m.Stats.FusedAuthLoads++
 				m.Stats.FusedInstrs += 2
 				addr, err := m.canonical(regs[in.A], f, in)
@@ -967,10 +944,9 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 			case fuseAuthStore:
 				ip++
 				in = &instrs[ip]
-				if err := m.stepGate(f, in); err != nil {
+				if err := m.step(f, in); err != nil {
 					return 0, err
 				}
-				m.charge(mir.Store)
 				m.Stats.FusedAuthStores++
 				m.Stats.FusedInstrs += 2
 				addr, err := m.canonical(regs[in.A], f, in)
@@ -978,11 +954,7 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 					return 0, err
 				}
 				d := &dblk[ip]
-				sv := regs[in.B]
-				if d.ext == extF32 {
-					sv = uint64(math.Float32bits(float32(math.Float64frombits(sv))))
-				}
-				if err := m.monoStore(d.site, addr, sv, int(d.size)); err != nil {
+				if err := m.monoStore(d.site, addr, narrowDec(regs[in.B], d.ext), int(d.size)); err != nil {
 					return 0, m.trap(TrapOutOfBounds, f, in, "%v", err)
 				}
 			case fuseAuthAddrLoad, fuseAuthAddrStore:
@@ -990,10 +962,9 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 				// Address computation off the authenticated pointer.
 				ip++
 				in = &instrs[ip]
-				if err := m.stepGate(f, in); err != nil {
+				if err := m.step(f, in); err != nil {
 					return 0, err
 				}
-				m.charge(in.Op)
 				if in.Op == mir.FieldAddr {
 					regs[in.Dst] = regs[in.A] + uint64(in.Imm)
 				} else {
@@ -1002,10 +973,9 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 				// The access itself.
 				ip++
 				in = &instrs[ip]
-				if err := m.stepGate(f, in); err != nil {
+				if err := m.step(f, in); err != nil {
 					return 0, err
 				}
-				m.charge(in.Op)
 				m.Stats.FusedInstrs += 3
 				addr, err := m.canonical(regs[in.A], f, in)
 				if err != nil {
@@ -1021,11 +991,7 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 					regs[in.Dst] = extendDec(lv, d.ext)
 				} else {
 					m.Stats.FusedAuthAddrStores++
-					sv := regs[in.B]
-					if d.ext == extF32 {
-						sv = uint64(math.Float32bits(float32(math.Float64frombits(sv))))
-					}
-					if err := m.monoStore(d.site, addr, sv, int(d.size)); err != nil {
+					if err := m.monoStore(d.site, addr, narrowDec(regs[in.B], d.ext), int(d.size)); err != nil {
 						return 0, m.trap(TrapOutOfBounds, f, in, "%v", err)
 					}
 				}
@@ -1128,8 +1094,9 @@ func loadSize(t *ctypes.Type) int {
 	}
 }
 
-// extendDec applies a predecoded extension mode to a loaded value; it is
-// the table-driven twin of extend.
+// extendDec widens a value of the extension mode e (see decodeExt) to a
+// register: integers narrower than 64 bits sign-extend, float32 becomes
+// float64.
 func extendDec(v uint64, e extKind) uint64 {
 	switch e {
 	case extS8:
@@ -1144,24 +1111,12 @@ func extendDec(v uint64, e extKind) uint64 {
 	return v
 }
 
-// extend sign-extends a loaded integer to 64 bits and widens float32.
-func extend(v uint64, t *ctypes.Type) uint64 {
-	if t == nil {
-		return v
-	}
-	switch t.Kind {
-	case ctypes.Float:
-		return math.Float64bits(float64(math.Float32frombits(uint32(v))))
-	case ctypes.Double:
-		return v
-	}
-	switch t.Size() {
-	case 1:
-		return uint64(int64(int8(v)))
-	case 2:
-		return uint64(int64(int16(v)))
-	case 4:
-		return uint64(int64(int32(v)))
+// narrowDec is extendDec's store-side twin: a float32 store narrows the
+// register's float64 to float32 bits. Integer stores need no narrowing;
+// the access width truncates them.
+func narrowDec(v uint64, e extKind) uint64 {
+	if e == extF32 {
+		return uint64(math.Float32bits(float32(math.Float64frombits(v))))
 	}
 	return v
 }
@@ -1259,13 +1214,13 @@ func castValue(v uint64, from, to *ctypes.Type) uint64 {
 	toFloat := to.Kind == ctypes.Float || to.Kind == ctypes.Double
 	switch {
 	case fromFloat && !toFloat:
-		return extend(uint64(int64(math.Float64frombits(v))), to)
+		return extendDec(uint64(int64(math.Float64frombits(v))), decodeExt(to))
 	case !fromFloat && toFloat:
 		return math.Float64bits(float64(int64(v)))
 	case fromFloat && toFloat:
 		return v
 	case to.IsInteger():
-		return extend(v, to)
+		return extendDec(v, decodeExt(to))
 	default: // pointer casts and int<->pointer: bit-identical
 		return v
 	}

@@ -67,7 +67,7 @@ func (ws *WorkerState) unit(cfg pa.Config, seed uint64) *pa.Unit {
 
 // MachineFor returns a machine prepared to run prog under opts. When the
 // worker's resident machine has the requested heap and stack sizes it is
-// re-pointed at the run's image, PA unit, cost model and tier setting
+// re-pointed at the run's image, PA unit and cost model
 // (see Machine.prepare for the isolation argument) and no allocation
 // happens once the worker is warm; otherwise a fresh machine is built
 // exactly as vm.New would and becomes the new resident. Requires

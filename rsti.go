@@ -117,7 +117,7 @@ func (c *Cache) Stats() CacheStats { return c.c.Stats() }
 //   - RunOption configures a single execution only (WithHook, WithExtern,
 //     WithOutput, WithOptions). Passing one to Compile does not compile.
 //   - ProgramOption is valid in both positions (WithTimeout,
-//     WithStepBudget, WithMaxOutput, WithOptimizer, WithTier): given to
+//     WithStepBudget, WithMaxOutput, WithOptimizer): given to
 //     Compile it sets a default the Program applies to every run; given
 //     to Run/RunContext/Engine.Submit it overrides that default for one
 //     execution.
@@ -179,7 +179,7 @@ func WithCache(c *Cache) CompileOption {
 // Compile parses, checks, lowers, and analyzes a program written in the
 // supported C subset (see package internal/cminor for the exact grammar).
 // ProgramOptions passed here become the Program's run defaults: a service
-// can compile once with WithTier(true) and WithStepBudget(n) and serve
+// can compile once with WithOptimizer(true) and WithStepBudget(n) and serve
 // every request with those settings, overriding per run as needed.
 func Compile(src string, opts ...CompileOption) (*Program, error) {
 	var cfg compileConfig
@@ -268,7 +268,7 @@ type PACOpStats struct {
 	// Static site counts of the build actually executed in this mode.
 	Signs  int // pac instructions present
 	Auths  int // aut instructions present (post-optimizer when Optimized)
-	Strips int // xpac instructions present
+	Strips int // xpac instructions present: always 0, extern arguments are authenticated, not stripped
 
 	// Optimizer removals (zero when !Optimized).
 	ElidedSigns    int // pac sites skipped for elided slots
@@ -413,27 +413,13 @@ func WithOptimizer(on bool) ProgramOption {
 // toggle, read once per process.
 func OptimizerDefault() bool { return core.DefaultOptimize() }
 
-// WithTier forces the profile-guided direct-threaded execution tier on or
-// off for this run, overriding the process default (see TierDefault).
-// The tier changes host dispatch speed only: modelled cycles, instruction
-// and PAC-op counts, trap kinds/attribution and program output are
-// bit-identical with it on or off. Tier-on and tier-off runs of one
-// Program use separate shared images, so flipping per run never perturbs
-// the other tier's profile. Dual-use: see ProgramOption.
+// WithTier is accepted and ignored.
+//
+// Deprecated: it once selected a direct-threaded execution tier; every
+// run now executes on the one switch interpreter.
 func WithTier(on bool) ProgramOption {
-	return programOption(func(cfg *core.RunConfig) {
-		if on {
-			cfg.Tier = core.TierOn
-		} else {
-			cfg.Tier = core.TierOff
-		}
-	})
+	return programOption(func(*core.RunConfig) {})
 }
-
-// TierDefault reports whether runs use the threaded execution tier when
-// no WithTier option is given — the RSTI_TIER environment toggle, read
-// once per process.
-func TierDefault() bool { return core.DefaultTier() }
 
 // Run executes the program under the given mechanism with a background
 // context; see RunContext.
@@ -443,7 +429,7 @@ func (p *Program) Run(mech Mechanism, opts ...RunOption) (*Result, error) {
 
 // RunContext executes the program under the given mechanism, honouring
 // ctx: when ctx is cancelled or its deadline passes, the interpreter
-// stops at its next checkpoint (every few-thousand modelled steps) and
+// stops at its next checkpoint (every 1024 modelled steps) and
 // the Result carries a *TrapError of kind vm.TrapCancelled whose chain
 // includes ctx's error. A Program is immutable after Compile, so any
 // number of RunContext calls may run concurrently on the same Program —
