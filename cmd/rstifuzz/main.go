@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"rsti/internal/core"
 	"rsti/internal/difftest"
 )
 
@@ -56,9 +57,9 @@ func run(args []string) int {
 	switch *optmode {
 	case "inherit":
 	case "on":
-		opt.Optimizer = difftest.OptimizerOn
+		opt.Optimizer = core.OptimizeOn
 	case "off":
-		opt.Optimizer = difftest.OptimizerOff
+		opt.Optimizer = core.OptimizeOff
 	default:
 		fmt.Fprintf(os.Stderr, "rstifuzz: unknown -optimizer mode %q\n", *optmode)
 		return 2

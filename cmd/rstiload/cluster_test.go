@@ -3,13 +3,16 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"rsti/internal/core"
 )
 
 // TestClusterDriveSmoke is the CI-sized cluster drive: a 3-peer fleet
 // under a small repeated-source workload must share compiles across the
 // ring (high cache-share rate, ~one compile per program fleet-wide) and
-// pass the cold-restart phase — zero instrumentation, bit-identical
-// matrix — under the race detector.
+// pass the cold-restart phase — zero compiles, one instrumentation pass
+// per instrumented flavour, bit-identical matrix — under the race
+// detector.
 func TestClusterDriveSmoke(t *testing.T) {
 	cfg := clusterConfig{
 		Peers:       3,
@@ -38,8 +41,12 @@ func TestClusterDriveSmoke(t *testing.T) {
 	if rec.CacheShareRate < 0.9 {
 		t.Errorf("cache-share rate %.3f, want >= 0.9 on a repeated-source workload", rec.CacheShareRate)
 	}
-	if rec.ColdRestartInstrumentations != 0 {
-		t.Errorf("cold restart ran %d instrumentation passes, want 0", rec.ColdRestartInstrumentations)
+	if rec.ColdRestartCompiles != 0 {
+		t.Errorf("cold restart ran %d compiles, want 0", rec.ColdRestartCompiles)
+	}
+	// Every standard flavour but the uninstrumented baseline, per program.
+	if want := int64(cfg.Programs * (len(core.StandardFlavors()) - 1)); rec.ColdRestartInstrumentations != want {
+		t.Errorf("cold restart ran %d instrumentation passes, want %d", rec.ColdRestartInstrumentations, want)
 	}
 	if !rec.ColdRestartBitIdentical {
 		t.Error("cold restart matrix diverged from the in-process reference")

@@ -102,8 +102,8 @@ func (l *loadReport) Summary() string {
 // captures the three cluster claims — the fleet compiles each program
 // once (cache-share rate), forwarding to the ring owner is cheap
 // (forward latency quantiles), and a restarted peer serves its first
-// runs from persisted predecoded artifacts with zero instrumentation,
-// bit-identically (cold-restart block).
+// runs from persisted artifacts with zero compiles, bit-identically
+// (cold-restart block).
 type clusterReport struct {
 	// Drive shape.
 	Peers       int
@@ -135,13 +135,15 @@ type clusterReport struct {
 	ForwardP99Ms     float64
 
 	// Cold restart: a fresh daemon over one peer's artifact directory,
-	// first-run latency over the warm working set, instrumentation passes
-	// the restarted process ran while serving the full
-	// {mechanism} x {optimizer} matrix (the contract is zero),
-	// and whether every modelled number matched an independently compiled
-	// in-process reference bit-for-bit.
+	// first-run latency over the warm working set, the compiles (the
+	// contract is zero) and instrumentation passes (one per instrumented
+	// flavour of each program) the restarted process ran while serving
+	// the full {mechanism} x {optimizer} matrix, and whether every
+	// modelled number matched an independently compiled in-process
+	// reference bit-for-bit.
 	ColdRestartFirstRunMs       float64
 	ColdRestartMatrixRuns       int
+	ColdRestartCompiles         int64
 	ColdRestartInstrumentations int64
 	ColdRestartBitIdentical     bool
 }
@@ -155,12 +157,12 @@ func (r *clusterReport) Summary() string {
 			"  ring-served misses:   %8.2f %% (disk + peer artifacts)\n"+
 			"  forwarded fetches:    %8d (p50 %.2f ms, p99 %.2f ms, %d errors)\n"+
 			"  cold restart:         first run %.2f ms, %d matrix runs, "+
-			"%d instrumentations, bit-identical: %v",
+			"%d compiles, %d instrumentations, bit-identical: %v",
 		r.Peers, r.Sessions, r.Programs, r.Concurrency,
 		r.RequestsPerSec, r.Requests, r.Errors, r.WallSeconds,
 		r.CacheShareRate*100, r.ClusterCompiles, r.ClusterLookups,
 		r.RingServedShare*100,
 		r.ForwardedFetches, r.ForwardP50Ms, r.ForwardP99Ms, r.ForwardErrors,
-		r.ColdRestartFirstRunMs, r.ColdRestartMatrixRuns,
+		r.ColdRestartFirstRunMs, r.ColdRestartMatrixRuns, r.ColdRestartCompiles,
 		r.ColdRestartInstrumentations, r.ColdRestartBitIdentical)
 }

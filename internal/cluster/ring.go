@@ -1,16 +1,15 @@
 // Package cluster implements the compile-path routing layer for a fleet
 // of rstid peers: a consistent-hash ring over source digests decides
 // which peer owns each program's compilation, and a router forwards
-// artifact requests to the owner so the cluster pays each program's
-// instrumentation cost once, not once per node.
+// artifact requests to the owner so the cluster compiles each program
+// once, not once per node.
 //
-// The design follows the paper's deployment argument: RSTI's cost is
-// front-loaded in compile-time instrumentation (type analysis, PAC
-// modifier assignment, per-flavor rewriting), while enforcement at run
-// time is cheap. A cluster therefore wants compilation to behave like a
-// content-addressed shared service — any peer can serve any program, but
-// exactly one peer performs the instrumentation, and everyone else adopts
-// the resulting artifact (see internal/compilecache's version-2 format).
+// A cluster wants compilation to behave like a content-addressed shared
+// service — any peer can serve any program, but exactly one peer runs
+// the frontend, and everyone else adopts the resulting artifact, the
+// lowered program (see internal/compilecache's artifact format). Each
+// peer instruments the (mechanism, optimizer) flavours it serves on
+// first use.
 //
 // Ownership must be stable under membership churn, which is what the
 // consistent-hash ring provides: each peer projects Replicas virtual

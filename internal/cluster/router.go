@@ -89,7 +89,7 @@ type Stats struct {
 // Router owns the ring and peer health for one node and implements the
 // compile cache's Fetch hook: given a source whose owner is another
 // peer, it retrieves the owner's encoded artifact so this node adopts
-// the instrumentation instead of redoing it.
+// the compilation instead of redoing it.
 type Router struct {
 	cfg    Config
 	client *http.Client

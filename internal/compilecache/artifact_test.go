@@ -58,13 +58,13 @@ func runMatrix(t *testing.T, comp *core.Compilation) []matrixCell {
 	return cells
 }
 
-// TestArtifactReloadSkipsInstrumentationAndPredecode is the version-2
-// cold-start contract: reloading an artifact runs zero instrumentation
-// passes (every flavor section seeds its build cell), and executing the
-// full {mechanism} x {optimizer} matrix afterwards runs zero additional
-// predecodes (every build's image was materialized at load time, off the
-// request path).
-func TestArtifactReloadSkipsInstrumentationAndPredecode(t *testing.T) {
+// TestArtifactReloadSkipsFrontend is the cold-start contract: a
+// restarted cache reloads the artifact with zero compiles, and running
+// the full {mechanism} x {optimizer} matrix afterwards builds each flavour
+// exactly once, on first use — 10 instrumentation passes (every flavour
+// but the uninstrumented baseline) and 11 predecodes — with every cell
+// bit-identical to the process that wrote the artifact.
+func TestArtifactReloadSkipsFrontend(t *testing.T) {
 	dir := t.TempDir()
 
 	var compiles1 atomic.Int64
@@ -78,7 +78,7 @@ func TestArtifactReloadSkipsInstrumentationAndPredecode(t *testing.T) {
 	// "Restart": fresh cache over the same directory.
 	var compiles2 atomic.Int64
 	c2 := countingCache(dir, &compiles2)
-	instBefore := rsti.InstrumentCount()
+	instBefore, predecodeBefore := rsti.InstrumentCount(), vm.PredecodeCount()
 	reload, err := c2.Get(artifactSrc)
 	if err != nil {
 		t.Fatalf("post-restart Get: %v", err)
@@ -86,17 +86,14 @@ func TestArtifactReloadSkipsInstrumentationAndPredecode(t *testing.T) {
 	if got := compiles2.Load(); got != 0 {
 		t.Fatalf("restarted instance compiled %d times, want 0", got)
 	}
-	if got := rsti.InstrumentCount(); got != instBefore {
-		t.Fatalf("artifact load ran %d instrumentation passes, want 0", got-instBefore)
-	}
 
-	predecodeBefore := vm.PredecodeCount()
 	got := runMatrix(t, reload)
-	if n := vm.PredecodeCount(); n != predecodeBefore {
-		t.Fatalf("post-load matrix ran %d predecodes, want 0 (images eager at load)", n-predecodeBefore)
+	flavours := int64(len(core.StandardFlavors()))
+	if n := rsti.InstrumentCount() - instBefore; n != flavours-1 {
+		t.Fatalf("reload + matrix ran %d instrumentation passes, want %d", n, flavours-1)
 	}
-	if n := rsti.InstrumentCount(); n != instBefore {
-		t.Fatalf("post-load matrix ran %d instrumentation passes, want 0", n-instBefore)
+	if n := vm.PredecodeCount() - predecodeBefore; n != flavours {
+		t.Fatalf("reload + matrix ran %d predecodes, want %d", n, flavours)
 	}
 
 	// Golden-matrix cross-check: every cell bit-identical to the process
@@ -110,6 +107,43 @@ func TestArtifactReloadSkipsInstrumentationAndPredecode(t *testing.T) {
 			t.Fatalf("%v opt=%v: reload diverged:\n  orig  exit=%d stats=%+v\n  reload exit=%d stats=%+v",
 				w.flavor.Mech, w.flavor.Optimized, w.exit, w.stats, g.exit, g.stats)
 		}
+	}
+}
+
+// TestArtifactServedFromMemory: the owner side of a peer transfer encodes
+// its in-memory compilation, so a payload-damaged artifact file on the
+// owner never reaches a peer — the fetch is a clean peer hit.
+func TestArtifactServedFromMemory(t *testing.T) {
+	var ownerCompiles atomic.Int64
+	owner := countingCache(t.TempDir(), &ownerCompiles)
+	if _, err := owner.Get(artifactSrc); err != nil {
+		t.Fatalf("owner Get: %v", err)
+	}
+	path := owner.artifactPath(sha256.Sum256([]byte(artifactSrc)))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read owner artifact: %v", err)
+	}
+	raw[len(raw)-1] ^= 0xff // payload byte: the file's checksum no longer holds
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatalf("damage owner artifact: %v", err)
+	}
+
+	var peerCompiles atomic.Int64
+	peer := New(Config{
+		Dir:   t.TempDir(),
+		Fetch: owner.Artifact,
+		Compile: func(src string) (*core.Compilation, error) {
+			peerCompiles.Add(1)
+			return core.Compile(src)
+		},
+	})
+	if _, err := peer.Get(artifactSrc); err != nil {
+		t.Fatalf("peer Get: %v", err)
+	}
+	if s := peer.Stats(); s.PeerHits != 1 || s.PeerErrors != 0 || peerCompiles.Load() != 0 {
+		t.Fatalf("peer stats %+v after %d compiles, want 1 peer hit, 0 peer errors, 0 compiles",
+			s, peerCompiles.Load())
 	}
 }
 
@@ -137,9 +171,9 @@ func TestArtifactDeterministicEncoding(t *testing.T) {
 }
 
 // TestArtifactBadPayloadFallsBack: an artifact whose checksum is valid
-// but whose payload is garbage (truncated gob) is a decode error, counted
-// as a DiskError, and the source recompiles — corruption costs a
-// compile, never correctness.
+// but whose payload is garbage (a truncated program encoding) is a decode
+// error, counted as a DiskError, and the source recompiles — corruption
+// costs a compile, never correctness.
 func TestArtifactBadPayloadFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	var compiles1 atomic.Int64
@@ -154,7 +188,7 @@ func TestArtifactBadPayloadFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read artifact: %v", err)
 	}
-	// Truncate the gob payload and re-stamp a valid checksum: the damage
+	// Truncate the payload and re-stamp a valid checksum: the damage
 	// must be caught by the decoder, not the integrity check.
 	payload := raw[40 : len(raw)-len(raw)/3]
 	sum := sha256.Sum256(payload)

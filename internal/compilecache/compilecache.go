@@ -13,6 +13,11 @@
 // host memory without bound. Failed compiles are handed to every waiter
 // of the flight that produced them but are never stored: error entries
 // would spend capacity on programs nobody can run.
+//
+// A miss is answered, in order, by the optional disk level (disk.go), the
+// optional peer fetch (Config.Fetch), or a local compile. The memory level
+// doubles as rstid's program-handle table: a handle is the source hash,
+// and Lookup resolves it without compiling, reading disk or fetching.
 package compilecache
 
 import (
@@ -83,7 +88,7 @@ func (cfg Config) maxBytes() int64 {
 
 // Stats is a point-in-time snapshot of cache effectiveness.
 type Stats struct {
-	// Hits counts Get calls answered from a stored entry.
+	// Hits counts Get and Lookup calls answered from a stored entry.
 	Hits int64 `json:"hits"`
 	// Misses counts Get calls that started a compile.
 	Misses int64 `json:"misses"`
@@ -118,17 +123,6 @@ type Stats struct {
 	// a damaged artifact (each fell back to a local compile).
 	PeerHits   int64 `json:"peer_hits,omitempty"`
 	PeerErrors int64 `json:"peer_errors,omitempty"`
-}
-
-// NoteHit records a lookup answered by a cache layered above this one
-// (the service's program-handle table). Counting those hits here keeps
-// Hits+Misses equal to the total compile lookups the process served, so
-// metrics-derived share rates describe request traffic, not just the
-// fraction that fell through to this level.
-func (c *Cache) NoteHit() {
-	c.mu.Lock()
-	c.stats.Hits++
-	c.mu.Unlock()
 }
 
 // ClusterShareRate is the fraction of storage misses the logical cluster
@@ -224,6 +218,23 @@ func (c *Cache) Get(src string) (*core.Compilation, error) {
 	return c.get(src, true)
 }
 
+// Lookup returns the stored compilation whose source hashes to sum, or
+// false. It answers from the memory level only — it never compiles,
+// reads the disk level or fetches from a peer — and counts a hit (moving
+// the entry to the LRU front) exactly as Get does; a miss counts nothing,
+// so a caller that falls back to Get counts the miss once.
+func (c *Cache) Lookup(sum [sha256.Size]byte) (*core.Compilation, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key(sum)]
+	if !ok {
+		return nil, false
+	}
+	c.lru.MoveToFront(e.elem)
+	c.stats.Hits++
+	return e.c, true
+}
+
 // GetLocal is Get without the peer-fetch hook: a storage miss goes
 // straight from the disk level to a local compile. The cluster's
 // peer-artifact endpoint serves requests through this path, so two peers
@@ -288,7 +299,7 @@ func (c *Cache) get(src string, allowFetch bool) (*core.Compilation, error) {
 
 // fetchPeer asks the configured Fetch hook for a peer artifact and, on
 // success, adopts it: the decoded compilation fills this flight, and the
-// verified bytes land in the local disk level so warm instrumented images
+// verified bytes land in the local disk level so compiled programs
 // propagate through the ring — the next restart (or a sibling process)
 // reloads them without contacting anyone.
 func (c *Cache) fetchPeer(k key, src string) (*core.Compilation, bool) {
@@ -316,20 +327,14 @@ func (c *Cache) fetchPeer(k key, src string) (*core.Compilation, bool) {
 
 // Artifact returns the encoded artifact bytes for src, compiling (and
 // persisting, when the disk level is enabled) on first sight — the owner
-// side of a peer transfer. The fast path reuses the artifact file the
-// compile just wrote; a memory-only cache encodes on demand. Peer-fetch
-// is never consulted: the artifact endpoint must terminate forwarding.
+// side of a peer transfer. The bytes are encoded from the in-memory
+// compilation, never re-read from disk, so a damaged file on the owner
+// cannot travel to its peers. Peer-fetch is never consulted: the artifact
+// endpoint must terminate forwarding.
 func (c *Cache) Artifact(src string) ([]byte, error) {
 	comp, err := c.GetLocal(src)
 	if err != nil {
 		return nil, err
-	}
-	if c.cfg.Dir != "" {
-		k := key(sha256.Sum256([]byte(src)))
-		if raw, err := os.ReadFile(c.artifactPath(k)); err == nil &&
-			len(raw) >= 40 && [8]byte(raw[:8]) == artifactMagic {
-			return raw, nil
-		}
 	}
 	return EncodeArtifact(comp)
 }

@@ -1,12 +1,11 @@
 // Disk level of the compile cache: content-addressed artifact files that
 // survive daemon restarts and travel between cluster peers. An artifact
-// stores the lowered base program plus one instrumented-program section
-// per standard build flavor (see artifact.go for the format); reload
-// skips the whole frontend (parse, typecheck, lower), every
-// instrumentation pass, and every predecode, so a cold-started daemon
+// stores the lowered program (see artifact.go for the format); reload
+// skips the frontend (parse, typecheck, lower), so a cold-started daemon
 // serves its first run bit-identically to the process that wrote the
 // artifact — same type-table IDs, same PAC modifiers, same modelled
-// numbers — with zero instrumentation latency.
+// numbers — while each (mechanism, optimizer) build is instrumented once,
+// on first use.
 //
 // Files are named <sha256-of-source-hex>.rsti and written via
 // write-to-temp + atomic rename, so a crashed writer can never leave a
@@ -28,7 +27,7 @@ import (
 	"rsti/internal/core"
 )
 
-var artifactMagic = [8]byte{'R', 'S', 'T', 'I', 'A', 'R', 'T', 2}
+var artifactMagic = [8]byte{'R', 'S', 'T', 'I', 'A', 'R', 'T', 3}
 
 const artifactExt = ".rsti"
 
@@ -63,7 +62,7 @@ func (c *Cache) sweepTemps() {
 // never wrote is additionally counted as a DiskAdoption: the artifact was
 // produced by another process (an earlier daemon, a sibling sharing the
 // directory, or a peer fetch persisted before a restart) and this
-// instance is inheriting its instrumentation work.
+// instance is inheriting its frontend work.
 func (c *Cache) loadDisk(k key) (*core.Compilation, bool) {
 	raw, err := os.ReadFile(c.artifactPath(k))
 	if err != nil {
@@ -83,10 +82,9 @@ func (c *Cache) loadDisk(k key) (*core.Compilation, bool) {
 	return comp, err == nil
 }
 
-// storeDisk encodes comp (building any not-yet-built flavor sections) and
-// writes its artifact. Failures are counted, not returned: persistence is
-// an optimization, and the in-memory entry the caller just inserted
-// already serves this process.
+// storeDisk encodes comp and writes its artifact. Failures are counted,
+// not returned: persistence is an optimization, and the in-memory entry
+// the caller just inserted already serves this process.
 func (c *Cache) storeDisk(k key, comp *core.Compilation) {
 	buf, err := EncodeArtifact(comp)
 	if err != nil {

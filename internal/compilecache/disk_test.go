@@ -205,28 +205,20 @@ func TestDiskRepairPaths(t *testing.T) {
 			repairCompiles: 0,
 		},
 		{
-			// A well-formed base-only artifact in format version 1: the
-			// cache reads only version 2, so the header check treats it
-			// as damage and the rewrite upgrades it to version 2.
-			name: "v1_artifact",
-			breakFS: func(t *testing.T, dir, artifact string) string {
-				comp, err := core.Compile(diskSrc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var payload bytes.Buffer
-				if err := mir.EncodeProgram(&payload, comp.Prog); err != nil {
-					t.Fatal(err)
-				}
-				magic := artifactMagic
-				magic[7] = 1
-				sum := sha256.Sum256(payload.Bytes())
-				raw := append(append(magic[:], sum[:]...), payload.Bytes()...)
-				if err := os.WriteFile(artifact, raw, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return dir
-			},
+			// A well-formed artifact under format version 1, whose payload
+			// was the same lowered program version 3 stores: only the
+			// version byte differs, and the header check rejects it.
+			name:           "v1_artifact",
+			breakFS:        oldVersionArtifact(1),
+			want:           want{compiles: 1, diskErrors: 1, diskHits: 0, diskWrites: 1},
+			repairCompiles: 0,
+		},
+		{
+			// Version 2 carried per-flavour instrumented sections; no
+			// decoder for it remains, so its header alone sends it down
+			// the repair path.
+			name:           "v2_artifact",
+			breakFS:        oldVersionArtifact(2),
 			want:           want{compiles: 1, diskErrors: 1, diskHits: 0, diskWrites: 1},
 			repairCompiles: 0,
 		},
@@ -280,10 +272,14 @@ func TestDiskRepairPaths(t *testing.T) {
 			}
 
 			// No temp files may survive an instance's lifetime, whatever
-			// the damage was.
+			// the damage was, and a rewrite lands in the current format.
 			if dir2 == dir {
 				if temps, _ := filepath.Glob(filepath.Join(dir, "tmp-*.rsti")); len(temps) != 0 {
 					t.Errorf("temp files left behind: %v", temps)
+				}
+				raw, err := os.ReadFile(c1.artifactPath(k))
+				if err != nil || len(raw) < 8 || [8]byte(raw[:8]) != artifactMagic {
+					t.Errorf("artifact not in the current format after repair (err=%v)", err)
 				}
 			}
 
@@ -296,6 +292,29 @@ func TestDiskRepairPaths(t *testing.T) {
 				t.Errorf("post-repair instance compiled %d times, want %d", got, tc.repairCompiles)
 			}
 		})
+	}
+}
+
+// oldVersionArtifact returns a TestDiskRepairPaths breakFS that replaces
+// the artifact with a checksum-valid file under format version v.
+func oldVersionArtifact(v byte) func(t *testing.T, dir, artifact string) string {
+	return func(t *testing.T, dir, artifact string) string {
+		comp, err := core.Compile(diskSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payload bytes.Buffer
+		if err := mir.EncodeProgram(&payload, comp.Prog); err != nil {
+			t.Fatal(err)
+		}
+		magic := artifactMagic
+		magic[7] = v
+		sum := sha256.Sum256(payload.Bytes())
+		raw := append(append(magic[:], sum[:]...), payload.Bytes()...)
+		if err := os.WriteFile(artifact, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
 }
 

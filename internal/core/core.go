@@ -183,8 +183,9 @@ func Compile(src string) (*Compilation, error) {
 // from a disk artifact — as a Compilation: it verifies the IR, reruns the
 // STI analysis (deterministic, so PAC modifiers and scope metadata come
 // out exactly as the original compile produced them), and leaves builds
-// to materialize lazily as usual. The frontend AST is not reconstructed
-// (File is nil); nothing downstream of Compile reads it.
+// to materialize lazily, exactly as after Compile. The frontend AST is
+// not reconstructed (File is nil); nothing downstream of Compile reads
+// it.
 func FromProgram(prog *mir.Program) (*Compilation, error) {
 	if err := prog.Verify(); err != nil {
 		return nil, fmt.Errorf("reloaded program: %w", err)
@@ -269,18 +270,17 @@ func (c *Compilation) BuildMode(mech sti.Mechanism, optimized bool) (*Build, err
 }
 
 // BuildFlavor names one entry of the standard build matrix: a mechanism
-// plus whether the PAC elision optimizer processes it. Disk artifacts
-// persist one instrumented-program section per flavor, so a cold restart
-// can serve any (mechanism, optimizer) request without instrumenting.
+// plus whether the PAC elision optimizer processes it — one BuildMode
+// once-cell of a Compilation.
 type BuildFlavor struct {
 	Mech      sti.Mechanism
 	Optimized bool
 }
 
-// StandardFlavors is the build matrix the persistent artifact format
-// covers: every mechanism in both optimizer modes, except the
-// uninstrumented baseline whose optimized build is its unoptimized one
-// (BuildMode folds them).
+// StandardFlavors is the full {mechanism} × {optimizer} build matrix a
+// Compilation can serve: every mechanism in both optimizer modes, except
+// the uninstrumented baseline whose optimized build is its unoptimized
+// one (BuildMode folds them). Each flavour is built on first use.
 func StandardFlavors() []BuildFlavor {
 	mechs := []sti.Mechanism{sti.None, sti.PARTS, sti.STWC, sti.STC, sti.STL, sti.Adaptive}
 	out := make([]BuildFlavor, 0, 2*len(mechs)-1)
@@ -291,27 +291,6 @@ func StandardFlavors() []BuildFlavor {
 		}
 	}
 	return out
-}
-
-// SeedBuild installs a pre-instrumented build — typically decoded from a
-// disk artifact's flavor section — into the compilation's once-cell for
-// (mech, optimized). It reports whether the seed took: false means the
-// cell was already populated (a racing Build got there first), and the
-// existing build wins so every caller keeps seeing one shared image.
-// Seeded cells satisfy later Build/BuildMode calls without running
-// instrumentation, which is the cluster cold-start contract: a restarted
-// daemon's first run must cost zero instrument passes.
-func (c *Compilation) SeedBuild(mech sti.Mechanism, optimized bool, b *Build) bool {
-	if mech == sti.None {
-		optimized = false
-	}
-	cl := c.cell(buildKey{mech: mech, optimized: optimized})
-	seeded := false
-	cl.once.Do(func() {
-		cl.b = b
-		seeded = true
-	})
-	return seeded
 }
 
 // BuildAll instruments the program under every requested mechanism

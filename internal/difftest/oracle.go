@@ -22,12 +22,12 @@ type Options struct {
 	// EngineWorkers sizes the engine pool the cross-mechanism runs are
 	// re-executed on. Zero disables the engine cross-check.
 	EngineWorkers int
-	// Optimizer forces the PAC elision optimizer on or off for every
-	// phase (benign, engine, attacks). The zero value inherits the
-	// process default (RSTI_OPT). Independent of this, Check always runs
-	// the dedicated optimizer phase comparing forced-on against
-	// forced-off benign executions.
-	Optimizer OptimizerMode
+	// Optimizer forces the PAC elision optimizer on (core.OptimizeOn) or
+	// off (core.OptimizeOff) for every phase (benign, engine, attacks,
+	// synthesis). The zero value follows the process default (RSTI_OPT).
+	// Independent of this, Check always runs the dedicated optimizer
+	// phase comparing forced-on against forced-off benign executions.
+	Optimizer core.OptimizeMode
 	// Synthesis enables the attack-synthesis phase: instead of (only) the
 	// generator's hand-written corruption variants, tampers are derived
 	// from the compiled program itself by attack.Synthesize — same-class
@@ -37,31 +37,13 @@ type Options struct {
 	Synthesis bool
 }
 
-// OptimizerMode selects the optimizer configuration the oracle's phases
-// run under.
-type OptimizerMode uint8
-
-const (
-	// OptimizerInherit follows the process default (RSTI_OPT).
-	OptimizerInherit OptimizerMode = iota
-	// OptimizerOn forces the optimized build in every phase — the
-	// configuration the optimizer soak uses so the full attack matrix is
-	// exercised against optimized programs.
-	OptimizerOn
-	// OptimizerOff forces unoptimized builds.
-	OptimizerOff
-)
-
-// modeOpts translates the optimizer mode into run options (nil for
-// inherit).
+// modeOpts translates the optimizer mode into run options (nil for the
+// process default).
 func (o Options) modeOpts() []rsti.RunOption {
-	switch o.Optimizer {
-	case OptimizerOn:
-		return []rsti.RunOption{rsti.WithOptimizer(true)}
-	case OptimizerOff:
-		return []rsti.RunOption{rsti.WithOptimizer(false)}
+	if o.Optimizer == core.OptimizeDefault {
+		return nil
 	}
-	return nil
+	return []rsti.RunOption{rsti.WithOptimizer(o.Optimizer.Enabled())}
 }
 
 // DefaultStepBudget bounds one generated-program run. The largest
@@ -292,16 +274,9 @@ func Check(cfg Config, opt Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("synthesis compile: %w", err)
 		}
-		mode := core.OptimizeDefault
-		switch opt.Optimizer {
-		case OptimizerOn:
-			mode = core.OptimizeOn
-		case OptimizerOff:
-			mode = core.OptimizeOff
-		}
 		synth, err := attack.Synthesize(c, attack.SynthOptions{
 			StepBudget: opt.StepBudget,
-			Optimize:   mode,
+			Optimize:   opt.Optimizer,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("synthesis: %w", err)

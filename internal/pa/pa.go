@@ -92,22 +92,7 @@ func DefaultConfig() Config {
 // 32 bytes each → 128 KiB). Direct-mapped: a colliding (key, pointer,
 // modifier) triple simply evicts the previous resident, so the cache can
 // never change a result, only skip recomputing it.
-//
-// The table is physically laid out as 2^pacShardBits cache-line-padded
-// shards of 2^pacEntryBits entries each. Units are single-goroutine
-// objects, but an engine pool runs many units — one per worker — and a
-// flat table made adjacent workers' hot entries and hit/miss counters
-// share cache lines across allocations; padding each shard (and its
-// counters) to a 64-byte multiple kills that false sharing. The index
-// split is a bijection on the same 12 hash bits the flat table used —
-// shard = idx>>pacEntryBits, entry = idx&(2^pacEntryBits-1) — so every
-// probe lands on the same logical slot as before and hit/miss totals are
-// bit-identical to the unsharded layout by construction.
-const (
-	pacCacheBits = 12
-	pacShardBits = 3
-	pacEntryBits = pacCacheBits - pacShardBits
-)
+const pacCacheBits = 12
 
 type pacCacheEntry struct {
 	ptr, mod, pac uint64
@@ -115,14 +100,13 @@ type pacCacheEntry struct {
 	used          bool
 }
 
-// pacShard is one padded slice of the memo table: 2^pacEntryBits 32-byte
-// entries plus this shard's own hit/miss counters, padded so the struct
-// is a multiple of 64 bytes and no two shards (or two units' counters)
-// ever share a line.
-type pacShard struct {
-	entries      [1 << pacEntryBits]pacCacheEntry
+// pacMemo is one unit's memo table with its hit and miss counters in the
+// same allocation. At 128 KiB, allocated once per unit, it shares no
+// cache line with another unit's state, so an engine pool of units (one
+// per worker) needs no padding.
+type pacMemo struct {
+	entries      [1 << pacCacheBits]pacCacheEntry
 	hits, misses uint64
-	_            [48]byte
 }
 
 // Unit is the PA "hardware": the key registers plus the PAC algorithm.
@@ -139,7 +123,7 @@ type Unit struct {
 	pacMask uint64 // the bits the PAC occupies
 	tagMask uint64 // TBI byte (0 when TBI is off)
 
-	shards *[1 << pacShardBits]pacShard
+	memo *pacMemo
 }
 
 // NewUnit builds a PA unit with the given keys. Keys are generated and
@@ -163,7 +147,7 @@ func NewUnit(cfg Config, keys [NumKeys]Key) *Unit {
 	} else {
 		u.pacMask = ^u.vaMask
 	}
-	u.shards = new([1 << pacShardBits]pacShard)
+	u.memo = new(pacMemo)
 	return u
 }
 
@@ -186,14 +170,13 @@ func (u *Unit) PACBits() int {
 // shares one modifier — so the hit rate is high enough to skip the cipher
 // on most PA operations.
 func (u *Unit) pacFor(canonical uint64, k KeyID, modifier uint64) uint64 {
-	idx := pacHash(canonical, k, modifier) & (1<<pacCacheBits - 1)
-	sh := &u.shards[idx>>pacEntryBits]
-	e := &sh.entries[idx&(1<<pacEntryBits-1)]
+	m := u.memo
+	e := &m.entries[pacHash(canonical, k, modifier)&(1<<pacCacheBits-1)]
 	if e.used && e.ptr == canonical && e.mod == modifier && e.key == uint8(k) {
-		sh.hits++
+		m.hits++
 		return e.pac
 	}
-	sh.misses++
+	m.misses++
 	pac := u.ciphers[k].Encrypt(canonical, modifier) & u.pacMask
 	*e = pacCacheEntry{ptr: canonical, mod: modifier, pac: pac, key: uint8(k), used: true}
 	return pac
@@ -206,15 +189,9 @@ func pacHash(canonical uint64, k KeyID, modifier uint64) uint64 {
 }
 
 // CacheStats reports the PAC memoization cache's hit and miss counts since
-// construction, summed across shards. The sharded split is a bijection of
-// the flat table's index space, so these totals are bit-identical to what
-// the unsharded layout counted.
+// construction.
 func (u *Unit) CacheStats() (hits, misses uint64) {
-	for i := range u.shards {
-		hits += u.shards[i].hits
-		misses += u.shards[i].misses
-	}
-	return hits, misses
+	return u.memo.hits, u.memo.misses
 }
 
 // Sign computes the PAC for ptr under key k and the 64-bit modifier, and

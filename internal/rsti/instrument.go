@@ -48,9 +48,9 @@ import (
 // instrumentCount counts real instrumentation passes process-wide (the
 // sti.None clone shortcut is excluded: it inserts nothing). It mirrors
 // vm.PredecodeCount one pipeline stage earlier: cold-restart tests pin it
-// flat to prove a daemon reloading persisted artifact sections never
-// re-instruments, and the service surfaces it under /v1/metrics so the
-// zero-instrumentation contract is observable over the wire.
+// to exactly one pass per instrumented flavour a reloaded program serves,
+// and the service surfaces it under /v1/metrics so that contract is
+// observable over the wire.
 var instrumentCount atomic.Int64
 
 // InstrumentCount returns the number of instrumentation passes run so far

@@ -48,7 +48,8 @@ import (
 )
 
 // maxSourceBytes bounds accepted request bodies; DefaultMaxPrograms
-// bounds the compiled-program handle table (FIFO eviction).
+// bounds the compile cache's entries, which are also the program handles
+// the daemon can resolve.
 const (
 	maxSourceBytes     = 1 << 20
 	DefaultMaxPrograms = 128
@@ -69,8 +70,6 @@ type Config struct {
 	// run, run/stream, attack) to API-key auth with per-tenant rate and
 	// step-budget quotas. Empty means open mode: no keys, no quotas.
 	Tenants []Tenant
-	// MaxPrograms bounds the program handle table (0 = DefaultMaxPrograms).
-	MaxPrograms int
 	// SecurityResults, when non-empty, points at the SECURITY_RESULTS.json
 	// trajectory written by `rstibench -secjson`; /v1/metrics then carries
 	// the latest datapoint's security summary so an operator sees the
@@ -95,12 +94,12 @@ type Config struct {
 	HeartbeatInterval time.Duration
 }
 
-// Server wires the HTTP surface to one shared engine, the shared
+// Server wires the HTTP surface to one shared engine and the shared
 // compilation cache (content-addressed, singleflight-deduped, optionally
-// disk-backed) and a bounded handle table mapping the sha256 program
-// handles we mint back to their compilations. Compiles are routed through
-// the engine pool too, so compilation concurrency is bounded alongside
-// run concurrency and a burst of distinct sources cannot starve the host.
+// disk-backed), whose memory level resolves the sha256 program handles
+// we mint back to their compilations. Compiles are routed through the
+// engine pool too, so compilation concurrency is bounded alongside run
+// concurrency and a burst of distinct sources cannot starve the host.
 type Server struct {
 	eng    *engine.Engine
 	cache  *compilecache.Cache
@@ -108,14 +107,8 @@ type Server struct {
 	mux    *http.ServeMux
 	router *cluster.Router // nil outside cluster mode
 
-	peerSecret string
-
-	maxPrograms     int
+	peerSecret      string
 	securityResults string
-
-	mu       sync.Mutex
-	programs map[string]*core.Compilation
-	order    []string // insertion order for FIFO eviction
 
 	scenarios map[string]*attack.Scenario
 
@@ -128,17 +121,12 @@ type Server struct {
 
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
-	if cfg.MaxPrograms <= 0 {
-		cfg.MaxPrograms = DefaultMaxPrograms
-	}
 	s := &Server{
 		eng:             engine.New(engine.Config{Workers: cfg.Workers, QueueDepth: cfg.Queue}),
 		auth:            newAuth(cfg.Tenants),
 		mux:             http.NewServeMux(),
 		peerSecret:      cfg.PeerSecret,
-		maxPrograms:     cfg.MaxPrograms,
 		securityResults: cfg.SecurityResults,
-		programs:        make(map[string]*core.Compilation),
 		scenarios:       make(map[string]*attack.Scenario),
 		pacOps:          make(map[string]*pacOpMetrics),
 	}
@@ -163,7 +151,7 @@ func New(cfg Config) *Server {
 	// background context is deliberate — a singleflight result is shared
 	// by every waiter, so no single requester's disconnect may abort it.
 	cacheCfg := compilecache.Config{
-		MaxEntries: cfg.MaxPrograms,
+		MaxEntries: DefaultMaxPrograms,
 		Dir:        cfg.CacheDir,
 		Compile: func(src string) (*core.Compilation, error) {
 			var c *core.Compilation
@@ -179,9 +167,9 @@ func New(cfg Config) *Server {
 	}
 	if s.router != nil {
 		// In cluster mode a miss first asks the ring owner for its
-		// finished artifact; only self-owned sources (or owner failures)
-		// compile here. This is what makes the fleet pay each program's
-		// instrumentation once.
+		// artifact; only self-owned sources (or owner failures) compile
+		// here. This is what makes the fleet pay each program's frontend
+		// once.
 		cacheCfg.Fetch = s.router.FetchArtifact
 	}
 	s.cache = compilecache.New(cacheCfg)
@@ -324,49 +312,32 @@ func (s *Server) pacOpsSnapshot() map[string]pacOpMetrics {
 	return out
 }
 
-// compile returns the cached compilation for src, compiling and caching
-// on first sight. The hash doubles as the program handle. Cached reports
-// whether the handle table already knew the program.
+// compile returns the compilation for src and its program handle (the
+// hex sha256 of the source). Cached reports whether the compile cache's
+// memory level already held the program; otherwise the cache's Get
+// answers from its disk level, a peer, or a compile — a burst of racing
+// duplicates coalesces onto one flight.
 func (s *Server) compile(src string) (string, *core.Compilation, bool, error) {
 	sum := sha256.Sum256([]byte(src))
 	key := hex.EncodeToString(sum[:])
-	s.mu.Lock()
-	if c, ok := s.programs[key]; ok {
-		s.mu.Unlock()
-		// The handle table is a cache level above the compile cache; count
-		// the hit there so metrics lookups reflect request traffic.
-		s.cache.NoteHit()
+	if c, ok := s.cache.Lookup(sum); ok {
 		return key, c, true, nil
 	}
-	s.mu.Unlock()
-	// Compile outside the lock, through the shared cache: a burst of
-	// racing duplicates coalesces onto one compile (singleflight), a
-	// source recently evicted from the handle table is still answered
-	// from memory, and a source compiled by an earlier daemon run is
-	// answered from the disk level.
 	c, err := s.cache.Get(src)
-	if err != nil {
-		return "", nil, false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if have, ok := s.programs[key]; ok {
-		return key, have, true, nil
-	}
-	if len(s.order) >= s.maxPrograms {
-		delete(s.programs, s.order[0])
-		s.order = s.order[1:]
-	}
-	s.programs[key] = c
-	s.order = append(s.order, key)
-	return key, c, false, nil
+	return key, c, false, err
 }
 
-func (s *Server) lookup(key string) (*core.Compilation, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.programs[key]
-	return c, ok
+// lookup resolves a program handle through the compile cache's memory
+// level. A handle that is not 64 hex characters names no program.
+func (s *Server) lookup(handle string) (*core.Compilation, bool) {
+	var sum [sha256.Size]byte
+	if len(handle) != hex.EncodedLen(sha256.Size) {
+		return nil, false
+	}
+	if _, err := hex.Decode(sum[:], []byte(handle)); err != nil {
+		return nil, false
+	}
+	return s.cache.Lookup(sum)
 }
 
 // decode parses the request body into v, bounding its size.
@@ -721,10 +692,10 @@ type metricsResponse struct {
 	// only in cluster mode.
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
 	// Instrumentations counts the instrumentation passes this process has
-	// run (excluding the uninstrumented baseline). A daemon cold-started
-	// over persisted version-2 artifacts serves its whole warm working set
-	// with this counter unchanged — the observable for the zero-
-	// instrumentation cold-start contract.
+	// run (excluding the uninstrumented baseline). Each (program,
+	// mechanism, optimizer) build is instrumented once, on first use, so
+	// a daemon cold-started over persisted artifacts adds at most one pass
+	// per flavour it serves.
 	Instrumentations int64 `json:"instrumentations"`
 	// Runtime is the host process itself: live heap, GC pauses, goroutine
 	// count. The steady-state serving path allocates nothing per executed

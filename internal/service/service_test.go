@@ -240,10 +240,10 @@ func TestMetricsAndHealth(t *testing.T) {
 	if !ok {
 		t.Fatalf("metrics missing compile_cache: %v", m)
 	}
-	// Three source-direct runs of the same program: one real compile
-	// (the repeats are answered from the handle table before reaching
-	// the cache), one retained entry.
-	if cc["misses"].(float64) != 1 || cc["entries"].(float64) != 1 {
+	// Four source-direct requests for one program (the last is rejected
+	// for its optimizer mode after the program resolved): one real
+	// compile, three memory-level hits, one retained entry.
+	if cc["misses"].(float64) != 1 || cc["hits"].(float64) != 3 || cc["entries"].(float64) != 1 {
 		t.Errorf("compile_cache counters: %v", cc)
 	}
 	pac, ok := m["pac_ops"].(map[string]any)
@@ -413,19 +413,36 @@ func TestCompileBurstDeduped(t *testing.T) {
 	}
 }
 
+// TestProgramCacheEviction: program handles resolve through the compile
+// cache's memory level, so its entry bound is the handle bound. After
+// DefaultMaxPrograms+10 distinct compiles the cache holds exactly
+// DefaultMaxPrograms entries, the first (evicted) handle answers 404
+// not_found, and the last one still runs.
 func TestProgramCacheEviction(t *testing.T) {
-	s := New(Config{Workers: 1, Queue: 4})
-	defer s.Close()
+	ts, s := startServerCfg(t, Config{Workers: 1, Queue: 4})
+	var first, last string
 	for i := 0; i < DefaultMaxPrograms+10; i++ {
-		src := fmt.Sprintf("int main(void) { return %d; }", i)
-		if _, _, _, err := s.compile(src); err != nil {
+		key, _, _, err := s.compile(fmt.Sprintf("int main(void) { return %d; }", i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			first = key
+		}
+		last = key
 	}
-	s.mu.Lock()
-	n, order := len(s.programs), len(s.order)
-	s.mu.Unlock()
-	if n != DefaultMaxPrograms || order != DefaultMaxPrograms {
-		t.Errorf("cache holds %d programs (%d in order), cap is %d", n, order, DefaultMaxPrograms)
+	if n := s.cache.Len(); n != DefaultMaxPrograms {
+		t.Errorf("cache holds %d programs, cap is %d", n, DefaultMaxPrograms)
+	}
+	var we wireError
+	if code := post(t, ts.URL+"/v1/run", runRequest{Program: first}, &we); code != 404 || we.Error.Kind != KindNotFound {
+		t.Errorf("evicted handle: status %d, envelope %+v; want 404 %s", code, we, KindNotFound)
+	}
+	var run runResponse
+	if code := post(t, ts.URL+"/v1/run", runRequest{Program: last}, &run); code != 200 {
+		t.Errorf("newest handle: status %d, want 200", code)
+	}
+	if want := int64(DefaultMaxPrograms + 9); run.Exit != want {
+		t.Errorf("newest handle ran exit %d, want %d", run.Exit, want)
 	}
 }
