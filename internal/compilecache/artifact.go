@@ -1,12 +1,12 @@
-// Artifact codec, format version 3: the persistent (and peer-transferable)
+// Artifact codec, format version 4: the persistent (and peer-transferable)
 // form of a compiled program — the lowered program and nothing else.
 //
 // Artifact layout (all integrity-checked on load):
 //
 //	offset  size  contents
-//	0       8     magic "RSTIART\x03" (format version in the last byte)
+//	0       8     magic "RSTIART\x04" (format version in the last byte)
 //	8       32    sha256 of the payload
-//	40      —     payload: mir.EncodeProgram of the lowered program
+//	40      —     payload: mir.AppendProgram of the lowered program
 //
 // Reload skips the frontend (parse, typecheck, lower): it decodes the
 // program, reruns the deterministic STI analysis (core.FromProgram), and
@@ -14,9 +14,10 @@
 // exactly as after core.Compile. Instrumentation is not persisted: traced
 // on the serve-cold benchmark, encoding and writing every instrumented
 // flavour cost more than instrumenting the one flavour a request runs.
-// Any other format version, including the base-only version 1 and the
-// per-flavour version 2, fails the header check: the disk cache counts
-// it as damage, recompiles, and rewrites the file as version 3.
+// Any other format version — the base-only version 1, the per-flavour
+// version 2, and version 3, whose payload was gob — fails the header
+// check: the disk cache counts it as damage, recompiles, and rewrites the
+// file as version 4.
 package compilecache
 
 import (
@@ -28,15 +29,11 @@ import (
 	"rsti/internal/mir"
 )
 
-// EncodeArtifact serializes comp's lowered program as a version-3
+// EncodeArtifact serializes comp's lowered program as a version-4
 // artifact. The codec is deterministic, so two encodes of the same
 // source produce byte-identical artifacts.
 func EncodeArtifact(comp *core.Compilation) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 40)) // header filled in below
-	if err := mir.EncodeProgram(buf, comp.Prog); err != nil {
-		return nil, err
-	}
-	raw := buf.Bytes()
+	raw := mir.AppendProgram(make([]byte, 40), comp.Prog) // header filled in below
 	sum := sha256.Sum256(raw[40:])
 	copy(raw, artifactMagic[:])
 	copy(raw[8:], sum[:])
@@ -56,7 +53,7 @@ func decodeArtifact(raw []byte) (*core.Compilation, error) {
 	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], raw[8:40]) {
 		return nil, fmt.Errorf("compilecache: artifact checksum mismatch")
 	}
-	prog, err := mir.DecodeProgram(bytes.NewReader(payload))
+	prog, err := mir.DecodeProgram(payload)
 	if err != nil {
 		return nil, err
 	}

@@ -23,6 +23,7 @@ package compilecache
 import (
 	"container/list"
 	"crypto/sha256"
+	"errors"
 	"os"
 	"sync"
 	"unsafe"
@@ -267,9 +268,35 @@ func (c *Cache) get(src string, allowFetch bool) (*core.Compilation, error) {
 	c.flights[k] = f
 	c.mu.Unlock()
 
-	// Inside the flight — concurrent Gets for the same source dedupe onto
-	// this path whether it is answered from disk, from a peer, or by
-	// compiling.
+	compiled := c.fly(k, f, src, allowFetch)
+	if f.err == nil && compiled && c.cfg.Dir != "" {
+		c.storeDisk(k, f.c)
+	}
+	return f.c, f.err
+}
+
+// errFlightPanicked is what the waiters of a flight receive when the
+// caller that ran it panicked.
+var errFlightPanicked = errors.New("compilecache: the compile of this source panicked")
+
+// fly answers flight f from the disk level, a peer or a local compile —
+// concurrent Gets for the same source dedupe onto it whichever answers —
+// and reports whether it compiled. It then lands the flight on every
+// path: the waiters are released, the key is freed, and a result is
+// stored. If a hook panics, the panic continues to fly's caller after
+// the flight lands with errFlightPanicked, so no later Get of the source
+// blocks on a flight that never ends.
+func (c *Cache) fly(k key, f *flight, src string, allowFetch bool) (compiled bool) {
+	f.err = errFlightPanicked // until a level answers
+	defer func() {
+		close(f.done)
+		c.mu.Lock()
+		delete(c.flights, k)
+		if f.err == nil {
+			c.insert(k, src, f.c)
+		}
+		c.mu.Unlock()
+	}()
 	fromDisk, fromPeer := false, false
 	if c.cfg.Dir != "" {
 		f.c, fromDisk = c.loadDisk(k)
@@ -277,24 +304,15 @@ func (c *Cache) get(src string, allowFetch bool) (*core.Compilation, error) {
 	if !fromDisk && allowFetch && c.cfg.Fetch != nil {
 		f.c, fromPeer = c.fetchPeer(k, src)
 	}
-	if !fromDisk && !fromPeer {
-		c.mu.Lock()
-		c.stats.Compiles++
-		c.mu.Unlock()
-		f.c, f.err = c.compile(src)
+	if fromDisk || fromPeer {
+		f.err = nil
+		return false
 	}
-	close(f.done)
-
 	c.mu.Lock()
-	delete(c.flights, k)
-	if f.err == nil {
-		c.insert(k, src, f.c)
-	}
+	c.stats.Compiles++
 	c.mu.Unlock()
-	if f.err == nil && !fromDisk && !fromPeer && c.cfg.Dir != "" {
-		c.storeDisk(k, f.c)
-	}
-	return f.c, f.err
+	f.c, f.err = c.compile(src)
+	return true
 }
 
 // fetchPeer asks the configured Fetch hook for a peer artifact and, on

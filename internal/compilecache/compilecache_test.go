@@ -237,3 +237,94 @@ func TestConcurrentChurnStaysBounded(t *testing.T) {
 		t.Fatalf("counter sum = %d, want %d", s.Hits+s.Misses+s.Dedups, 4*40)
 	}
 }
+
+// await receives from ch, but fails the test instead of hanging the
+// binary when nothing arrives by nine tenths of the test's own deadline:
+// a flight that never lands blocks every later Get of its source.
+func await[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	var expire <-chan time.Time
+	if d, ok := t.Deadline(); ok {
+		expire = time.After(time.Until(d) * 9 / 10)
+	}
+	select {
+	case v := <-ch:
+		return v
+	case <-expire:
+		t.Fatalf("%s still blocked near the test deadline: its flight never landed", what)
+	}
+	var zero T
+	return zero
+}
+
+// getBounded is c.Get(src), bounded by await.
+func getBounded(t *testing.T, c *Cache, src string) (*core.Compilation, error) {
+	t.Helper()
+	type result struct {
+		comp *core.Compilation
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		comp, err := c.Get(src)
+		done <- result{comp, err}
+	}()
+	r := await(t, done, "Get")
+	return r.comp, r.err
+}
+
+// TestPanickingCompileReleasesFlight: a compile hook that panics takes
+// its panic to the Get that ran it, hands the Get that joined its flight
+// an error, and leaves the source free, so the next Get compiles again
+// instead of waiting forever on the abandoned flight.
+func TestPanickingCompileReleasesFlight(t *testing.T) {
+	var calls atomic.Int64
+	release := make(chan struct{})
+	c := New(Config{Compile: func(src string) (*core.Compilation, error) {
+		if calls.Add(1) == 1 {
+			<-release // hold the flight open until the waiter joins
+			panic("compile hook failure")
+		}
+		return core.Compile(src)
+	}})
+	src := program(9)
+
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Get(src)
+	}()
+	joined := make(chan error, 1)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		if s := c.Stats(); s.Misses == 1 {
+			break
+		}
+	}
+	go func() {
+		_, err := c.Get(src)
+		joined <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		if s := c.Stats(); s.Dedups == 1 {
+			break
+		}
+	}
+	close(release)
+	if r := <-panicked; r == nil {
+		t.Fatal("the Get that ran the panicking hook returned normally")
+	}
+	if err := await(t, joined, "the Get that joined the flight"); !errors.Is(err, errFlightPanicked) {
+		t.Fatalf("the joined Get returned %v, want errFlightPanicked", err)
+	}
+
+	comp, err := getBounded(t, c, src)
+	if err != nil || comp == nil {
+		t.Fatalf("Get after the panic: (%v, %v), want a compilation", comp, err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("compile ran %d times, want 2 (the panic, then the retry)", n)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Dedups != 1 || s.Entries != 1 {
+		t.Fatalf("stats %+v, want 2 misses, 1 dedup, 1 entry", s)
+	}
+}

@@ -27,7 +27,7 @@ import (
 	"rsti/internal/core"
 )
 
-var artifactMagic = [8]byte{'R', 'S', 'T', 'I', 'A', 'R', 'T', 3}
+var artifactMagic = [8]byte{'R', 'S', 'T', 'I', 'A', 'R', 'T', 4}
 
 const artifactExt = ".rsti"
 

@@ -1,7 +1,6 @@
 package compilecache
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"os"
 	"path/filepath"
@@ -206,7 +205,7 @@ func TestDiskRepairPaths(t *testing.T) {
 		},
 		{
 			// A well-formed artifact under format version 1, whose payload
-			// was the same lowered program version 3 stores: only the
+			// was the same lowered program version 4 stores: only the
 			// version byte differs, and the header check rejects it.
 			name:           "v1_artifact",
 			breakFS:        oldVersionArtifact(1),
@@ -219,6 +218,14 @@ func TestDiskRepairPaths(t *testing.T) {
 			// the repair path.
 			name:           "v2_artifact",
 			breakFS:        oldVersionArtifact(2),
+			want:           want{compiles: 1, diskErrors: 1, diskHits: 0, diskWrites: 1},
+			repairCompiles: 0,
+		},
+		{
+			// Version 3 stored the same lowered program as gob; no gob
+			// decoder remains, so the repair rewrites it as version 4.
+			name:           "v3_artifact",
+			breakFS:        oldVersionArtifact(3),
 			want:           want{compiles: 1, diskErrors: 1, diskHits: 0, diskWrites: 1},
 			repairCompiles: 0,
 		},
@@ -303,14 +310,11 @@ func oldVersionArtifact(v byte) func(t *testing.T, dir, artifact string) string 
 		if err != nil {
 			t.Fatal(err)
 		}
-		var payload bytes.Buffer
-		if err := mir.EncodeProgram(&payload, comp.Prog); err != nil {
-			t.Fatal(err)
-		}
+		payload := mir.AppendProgram(nil, comp.Prog)
 		magic := artifactMagic
 		magic[7] = v
-		sum := sha256.Sum256(payload.Bytes())
-		raw := append(append(magic[:], sum[:]...), payload.Bytes()...)
+		sum := sha256.Sum256(payload)
+		raw := append(append(magic[:], sum[:]...), payload...)
 		if err := os.WriteFile(artifact, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -354,5 +358,105 @@ func TestDiskArtifactNaming(t *testing.T) {
 	want := filepath.Base(c.artifactPath(k))
 	if ents[0].Name() != want {
 		t.Fatalf("artifact named %q, want %q", ents[0].Name(), want)
+	}
+}
+
+// indexSrc has every index kind Verify range-checks for the STI analysis
+// and the VM: parameter variables, slot variables, a global and a string
+// literal.
+const indexSrc = `
+int g;
+int add(int a, int b) { return a + b; }
+int main() {
+	g = add(40, 2);
+	printf("g=%d\n", g);
+	return g;
+}
+`
+
+// TestDiskRejectsOutOfRangeIndices: an artifact whose checksum holds but
+// whose program points a parameter or slot at a missing variable, or a
+// global address or string literal past its table, is damage. Loaded
+// unchecked, such a program panics the analysis (wedging its source's
+// flight) or every later run; the decoder's Verify rejects it, so it
+// costs one disk error and one compile, the artifact is rewritten, and
+// the next instance reloads it cleanly.
+func TestDiskRejectsOutOfRangeIndices(t *testing.T) {
+	first := func(p *mir.Program, match func(*mir.Instr) bool) *mir.Instr {
+		for _, f := range p.Funcs {
+			for _, b := range f.Blocks {
+				for i := range b.Instrs {
+					if match(&b.Instrs[i]) {
+						return &b.Instrs[i]
+					}
+				}
+			}
+		}
+		t.Fatal("no instruction to damage")
+		return nil
+	}
+	mutations := []struct {
+		name   string
+		mutate func(p *mir.Program)
+	}{
+		{"param_var", func(p *mir.Program) { p.ByName["add"].ParamVar[0] = len(p.Vars) }},
+		{"slot_var", func(p *mir.Program) {
+			first(p, func(in *mir.Instr) bool { return in.Slot.Kind == mir.SlotVar }).Slot.Var = len(p.Vars)
+		}},
+		{"global", func(p *mir.Program) {
+			first(p, func(in *mir.Instr) bool { return in.Op == mir.GlobalAddr }).Imm = int64(len(p.Globals))
+		}},
+		{"string", func(p *mir.Program) {
+			first(p, func(in *mir.Instr) bool { return in.Op == mir.StrConst }).Imm = int64(len(p.Strings))
+		}},
+	}
+	for _, m := range mutations {
+		t.Run(m.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var seed atomic.Int64
+			c1 := countingCache(dir, &seed)
+			if _, err := c1.Get(indexSrc); err != nil {
+				t.Fatalf("seed Get: %v", err)
+			}
+			path := c1.artifactPath(sha256.Sum256([]byte(indexSrc)))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := mir.DecodeProgram(raw[40:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.mutate(p)
+			payload := mir.AppendProgram(nil, p)
+			sum := sha256.Sum256(payload)
+			damaged := append(append(append([]byte(nil), raw[:8]...), sum[:]...), payload...)
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var compiles atomic.Int64
+			c2 := countingCache(dir, &compiles)
+			if _, err := getBounded(t, c2, indexSrc); err != nil {
+				t.Fatalf("Get over the damaged artifact: %v", err)
+			}
+			s := c2.Stats()
+			if compiles.Load() != 1 || s.DiskErrors != 1 || s.DiskHits != 0 || s.DiskWrites != 1 {
+				t.Fatalf("after damage: %d compiles, stats %+v; want 1 compile, 1 disk error, 0 hits, 1 write",
+					compiles.Load(), s)
+			}
+			if _, err := getBounded(t, c2, indexSrc); err != nil {
+				t.Fatalf("later Get: %v", err)
+			}
+
+			var repair atomic.Int64
+			c3 := countingCache(dir, &repair)
+			if _, err := getBounded(t, c3, indexSrc); err != nil {
+				t.Fatalf("Get after repair: %v", err)
+			}
+			if n := repair.Load(); n != 0 {
+				t.Fatalf("post-repair instance compiled %d times, want 0", n)
+			}
+		})
 	}
 }

@@ -53,11 +53,8 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 
-	var buf bytes.Buffer
-	if err := mir.EncodeProgram(&buf, orig.Prog); err != nil {
-		t.Fatalf("EncodeProgram: %v", err)
-	}
-	dec, err := mir.DecodeProgram(bytes.NewReader(buf.Bytes()))
+	buf := mir.AppendProgram(nil, orig.Prog)
+	dec, err := mir.DecodeProgram(buf)
 	if err != nil {
 		t.Fatalf("DecodeProgram: %v", err)
 	}
@@ -103,11 +100,8 @@ func TestCodecRoundTrip(t *testing.T) {
 
 	// Encoding must be deterministic: the same program encodes to the same
 	// bytes, so content-addressed artifact files are stable.
-	var buf2 bytes.Buffer
-	if err := mir.EncodeProgram(&buf2, orig.Prog); err != nil {
-		t.Fatalf("EncodeProgram (second): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	buf2 := mir.AppendProgram(nil, orig.Prog)
+	if !bytes.Equal(buf, buf2) {
 		t.Error("encoding is not deterministic for the same program")
 	}
 }
@@ -115,10 +109,10 @@ func TestCodecRoundTrip(t *testing.T) {
 // TestDecodeRejects covers the failure envelope: version skew and garbage
 // payloads must fail loudly, never yield a half-built program.
 func TestDecodeRejects(t *testing.T) {
-	if _, err := mir.DecodeProgram(bytes.NewReader([]byte("not a gob stream"))); err == nil {
+	if _, err := mir.DecodeProgram([]byte("not a program artifact")); err == nil {
 		t.Error("garbage payload decoded without error")
 	}
-	if _, err := mir.DecodeProgram(bytes.NewReader(nil)); err == nil {
+	if _, err := mir.DecodeProgram(nil); err == nil {
 		t.Error("empty payload decoded without error")
 	}
 }

@@ -6,43 +6,37 @@ package mir_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rsti/internal/cminor"
+	"rsti/internal/ctypes"
 	"rsti/internal/lower"
 	"rsti/internal/mir"
 )
 
-// codecSeedSrcs cover the artifact format's interesting shapes: interned
-// pointer chains, self-referential structs (the encoder's cycle
-// handling), cast bridges (shared types under distinct names), string
-// literals, and function pointers.
-var codecSeedSrcs = []string{
-	`int main(void) { return 42; }`,
-	`
-struct node { int v; struct node *next; };
-struct node n0;
-struct node *head;
-int main(void) {
-	head = &n0;
-	head->v = 7;
-	return head->v;
-}`,
-	`
-struct A { int x; };
-struct B { long y; };
-char *s;
-int helper(int v) { return v + 1; }
-int (*fp)(int);
-int main(void) {
-	struct A a;
-	void *bridge;
-	s = "hello";
-	bridge = (void*) &a;
-	fp = helper;
-	if (bridge != NULL && s != NULL) return fp(40);
-	return 0;
-}`,
+// codecSeedSrcs returns the seed programs in testdata/codec, which cover
+// the artifact format's interesting shapes: interned pointer chains,
+// self-referential structs (the encoder's cycle handling), cast bridges
+// (shared types under distinct names), string literals, and function
+// pointers. The codec fidelity test in package core reads them too.
+func codecSeedSrcs(tb testing.TB) []string {
+	tb.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "codec", "*.c"))
+	if err != nil || len(paths) == 0 {
+		tb.Fatalf("no codec seed sources (err=%v)", err)
+	}
+	var srcs []string
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		srcs = append(srcs, string(src))
+	}
+	return srcs
 }
 
 // artifactOf runs src through the pipeline and encodes the lowered
@@ -57,14 +51,75 @@ func artifactOf(tb testing.TB, src string) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := mir.EncodeProgram(&buf, p); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	return mir.AppendProgram(nil, p)
 }
 
-// FuzzMIRCodec fuzzes the gob artifact codec behind the disk compile
+// typeEntry hand-encodes one unqualified type-table entry with no name,
+// length or fields. Links are type index + 1, and 0 means none.
+func typeEntry(kind ctypes.Kind, elem, ret uint64, params ...uint64) []byte {
+	b := binary.AppendUvarint([]byte{byte(kind), 0, 0, 0}, elem)
+	b = append(b, 0, 0, 0) // length 0, empty name, no fields
+	b = binary.AppendUvarint(b, ret)
+	b = binary.AppendUvarint(b, uint64(len(params)))
+	for _, p := range params {
+		b = binary.AppendUvarint(b, p)
+	}
+	return b
+}
+
+// payload hand-assembles a payload holding the given type entries, an
+// interned table that lists every entry, and an otherwise empty program.
+func payload(types ...[]byte) []byte {
+	b := binary.AppendUvarint(nil, mir.CodecVersion)
+	b = binary.AppendUvarint(b, uint64(len(types)))
+	for _, t := range types {
+		b = append(b, t...)
+	}
+	b = binary.AppendUvarint(b, uint64(len(types)))
+	for i := range types {
+		b = binary.AppendUvarint(b, uint64(i+1))
+	}
+	return append(b, 0, 0, 0, 0, 0) // no structs, strings, vars, globals or funcs
+}
+
+// intPtr is a well-formed two-entry table: int, and a pointer to it.
+func intPtr() []byte {
+	return payload(typeEntry(ctypes.Int, 0, 0), typeEntry(ctypes.Pointer, 1, 0))
+}
+
+// damagedPayloads are hand-built payloads the decoder must reject.
+// Several hold a type cycle that skips every struct: a decoder that
+// accepted one would hand the interned table a type whose Key recursion
+// never returns, a stack overflow that no recover can catch.
+func damagedPayloads() []struct {
+	name string
+	data []byte
+} {
+	countPastEnd := binary.AppendUvarint(binary.AppendUvarint(nil, mir.CodecVersion), 1000)
+	// Each level is a function taking two copies of the level below, so
+	// keys double per level: 12 levels describe a 37 KB key in 200 bytes.
+	doubling := [][]byte{typeEntry(ctypes.Int, 0, 0)}
+	for i := uint64(1); i <= 12; i++ {
+		doubling = append(doubling, typeEntry(ctypes.Func, 0, 1, i, i))
+	}
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"self_pointer", payload(typeEntry(ctypes.Pointer, 1, 0))},
+		{"self_array", payload(typeEntry(ctypes.Array, 1, 0))},
+		{"self_func_ret", payload(typeEntry(ctypes.Func, 0, 1))},
+		{"self_func_param", payload(typeEntry(ctypes.Int, 0, 0), typeEntry(ctypes.Func, 0, 1, 2))},
+		{"pointer_cycle", payload(typeEntry(ctypes.Pointer, 2, 0), typeEntry(ctypes.Pointer, 1, 0))},
+		{"pointer_to_nothing", payload(typeEntry(ctypes.Pointer, 0, 0))},
+		{"count_past_end", append(countPastEnd, typeEntry(ctypes.Int, 0, 0)...)},
+		{"type_out_of_range", payload(typeEntry(ctypes.Int, 0, 0), typeEntry(ctypes.Pointer, 7, 0))},
+		{"trailing_bytes", append(intPtr(), 0)},
+		{"key_doubling", payload(doubling...)},
+	}
+}
+
+// FuzzMIRCodec fuzzes the binary artifact codec behind the disk compile
 // cache. For any input bytes, DecodeProgram must either reject them with
 // an error (never panic — corrupted and truncated artifacts are routine
 // cache states) or produce a program whose re-encoding is a fixpoint:
@@ -74,11 +129,11 @@ func artifactOf(tb testing.TB, src string) []byte {
 // change every signed pointer's modifier. Under plain `go test` it
 // replays the seed corpus; CI runs a `-fuzz` smoke leg.
 func FuzzMIRCodec(f *testing.F) {
-	for _, src := range codecSeedSrcs {
+	for _, src := range codecSeedSrcs(f) {
 		art := artifactOf(f, src)
 		f.Add(art)
 		// Deterministic damage seeds: truncation at both ends and a flipped
-		// byte inside the gob stream.
+		// byte inside the payload.
 		f.Add(art[:len(art)/2])
 		f.Add(art[:1])
 		flipped := append([]byte(nil), art...)
@@ -86,25 +141,21 @@ func FuzzMIRCodec(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("not a gob stream"))
+	f.Add([]byte("not a program artifact"))
+	for _, d := range damagedPayloads() {
+		f.Add(d.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p1, err := mir.DecodeProgram(bytes.NewReader(data))
+		p1, err := mir.DecodeProgram(data)
 		if err != nil {
 			return // rejection (without panic) is the correct damage path
 		}
-		var art1 bytes.Buffer
-		if err := mir.EncodeProgram(&art1, p1); err != nil {
-			t.Fatalf("re-encoding a decoded program failed: %v", err)
-		}
-		p2, err := mir.DecodeProgram(bytes.NewReader(art1.Bytes()))
+		art1 := mir.AppendProgram(nil, p1)
+		p2, err := mir.DecodeProgram(art1)
 		if err != nil {
 			t.Fatalf("decoding a re-encoded program failed: %v", err)
 		}
-		var art2 bytes.Buffer
-		if err := mir.EncodeProgram(&art2, p2); err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(art1.Bytes(), art2.Bytes()) {
+		if art2 := mir.AppendProgram(nil, p2); !bytes.Equal(art1, art2) {
 			t.Fatal("codec round trip is not a fixpoint: re-encoded artifacts differ")
 		}
 
@@ -124,17 +175,23 @@ func FuzzMIRCodec(f *testing.F) {
 }
 
 // TestCodecRejectsDamage pins the rejection paths the fuzz seeds encode:
-// truncated prefixes, bit flips, version skew and ragged internal tables
-// must all surface as decode errors, never as a silently wrong program.
+// truncated prefixes, bit flips, version skew, type cycles that skip a
+// struct, counts and indices past their bounds, and trailing bytes must
+// all surface as decode errors, never as a panic or a silently wrong
+// program.
 func TestCodecRejectsDamage(t *testing.T) {
-	art := artifactOf(t, codecSeedSrcs[1])
-	if _, err := mir.DecodeProgram(bytes.NewReader(art)); err != nil {
+	art := artifactOf(t, codecSeedSrcs(t)[1])
+	if _, err := mir.DecodeProgram(art); err != nil {
 		t.Fatalf("pristine artifact rejected: %v", err)
 	}
 	for _, cut := range []int{0, 1, len(art) / 2, len(art) - 1} {
-		if _, err := mir.DecodeProgram(bytes.NewReader(art[:cut])); err == nil {
+		if _, err := mir.DecodeProgram(art[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes decoded without error", cut)
 		}
+	}
+	skew := append([]byte{mir.CodecVersion + 1}, art[1:]...)
+	if _, err := mir.DecodeProgram(skew); err == nil {
+		t.Error("a payload of another codec version decoded without error")
 	}
 	// Flipping any byte must never yield a verified program that encodes
 	// differently from some valid artifact while claiming success with
@@ -144,9 +201,19 @@ func TestCodecRejectsDamage(t *testing.T) {
 	for off := 0; off < len(art); off += 17 {
 		damaged := append([]byte(nil), art...)
 		damaged[off] ^= 0x01
-		p, err := mir.DecodeProgram(bytes.NewReader(damaged))
+		p, err := mir.DecodeProgram(damaged)
 		if err == nil && p == nil {
 			t.Fatalf("flip at %d: nil program without error", off)
+		}
+	}
+
+	// The hand-built payloads are well-formed apart from their damage.
+	if _, err := mir.DecodeProgram(intPtr()); err != nil {
+		t.Fatalf("hand-built int/int* payload rejected: %v", err)
+	}
+	for _, d := range damagedPayloads() {
+		if p, err := mir.DecodeProgram(d.data); err == nil {
+			t.Errorf("%s: decoded without error (%d interned types)", d.name, p.Types.Len())
 		}
 	}
 }

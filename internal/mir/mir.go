@@ -386,10 +386,16 @@ func (in *Instr) format(p *Program) string {
 }
 
 // Verify checks structural invariants: every block terminated, branch
-// targets in range, register indices within NumRegs. It returns the first
-// violation.
+// targets in range, register indices within NumRegs, and every variable,
+// global and string-literal index naming an entry of its table. It
+// returns the first violation.
 func (p *Program) Verify() error {
 	for _, f := range p.Funcs {
+		for _, v := range f.ParamVar {
+			if v < -1 || v >= len(p.Vars) { // -1: an unnamed parameter
+				return fmt.Errorf("mir: %s parameter variable #%d out of range", f.Name, v)
+			}
+		}
 		if f.Extern {
 			continue
 		}
@@ -411,7 +417,18 @@ func (p *Program) Verify() error {
 						return fmt.Errorf("mir: %s %s#%d arg register r%d out of range", f.Name, blk.Name, i, r)
 					}
 				}
+				if in.Slot.Kind == SlotVar && (in.Slot.Var < 0 || in.Slot.Var >= len(p.Vars)) {
+					return fmt.Errorf("mir: %s %s#%d variable #%d out of range", f.Name, blk.Name, i, in.Slot.Var)
+				}
 				switch in.Op {
+				case StrConst:
+					if in.Imm < 0 || in.Imm >= int64(len(p.Strings)) {
+						return fmt.Errorf("mir: %s %s#%d string #%d out of range", f.Name, blk.Name, i, in.Imm)
+					}
+				case GlobalAddr:
+					if in.Imm < 0 || in.Imm >= int64(len(p.Globals)) {
+						return fmt.Errorf("mir: %s %s#%d global #%d out of range", f.Name, blk.Name, i, in.Imm)
+					}
 				case Jmp:
 					if in.Targets[0] < 0 || in.Targets[0] >= len(f.Blocks) {
 						return fmt.Errorf("mir: %s jmp target out of range", f.Name)

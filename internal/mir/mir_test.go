@@ -74,6 +74,49 @@ func TestVerifyRejectsUnknownCallee(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsOutOfRangeIndices covers the table indices the STI
+// analysis and the VM index without a check of their own: a parameter's
+// or a slot's variable, a global's address and a string literal. Each
+// case passes Verify in range and fails one past the end of its table.
+func TestVerifyRejectsOutOfRangeIndices(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(p *Program, i int) // point the index at entry i
+	}{
+		{"param_var", func(p *Program, i int) { p.ByName["main"].ParamVar = []int{-1, i} }},
+		{"slot_var", func(p *Program, i int) {
+			p.ByName["main"].Blocks[0].Instrs[0] = Instr{Op: Alloca, Dst: 0, A: NoReg, B: NoReg,
+				Ty: ctypes.IntType, Slot: Slot{Kind: SlotVar, Var: i}}
+		}},
+		{"global", func(p *Program, i int) {
+			p.ByName["main"].Blocks[0].Instrs[0] = Instr{Op: GlobalAddr, Dst: 0, A: NoReg, B: NoReg, Imm: int64(i)}
+		}},
+		{"string", func(p *Program, i int) {
+			p.ByName["main"].Blocks[0].Instrs[0] = Instr{Op: StrConst, Dst: 0, A: NoReg, B: NoReg, Imm: int64(i)}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tinyProgram()
+			p.Vars = []*VarInfo{{Name: "v", Type: ctypes.IntType}}
+			p.Globals = []*Global{{Name: "g", Type: ctypes.IntType, Var: 0}}
+			p.Strings = []string{"s"}
+			tc.set(p, 0)
+			if err := p.Verify(); err != nil {
+				t.Fatalf("in-range index rejected: %v", err)
+			}
+			tc.set(p, 1)
+			if err := p.Verify(); err == nil {
+				t.Error("index one past the end of its table accepted")
+			}
+			tc.set(p, -2)
+			if err := p.Verify(); err == nil {
+				t.Error("negative index accepted")
+			}
+		})
+	}
+}
+
 func TestCloneIsDeepForInstructions(t *testing.T) {
 	p := tinyProgram()
 	q := p.Clone()
