@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rsti/internal/core"
+	"rsti/internal/ctypes"
 	"rsti/internal/mir"
 	"rsti/internal/sti"
 )
@@ -376,11 +377,14 @@ int main() {
 
 // TestDiskRejectsOutOfRangeIndices: an artifact whose checksum holds but
 // whose program points a parameter or slot at a missing variable, or a
-// global address or string literal past its table, is damage. Loaded
-// unchecked, such a program panics the analysis (wedging its source's
-// flight) or every later run; the decoder's Verify rejects it, so it
-// costs one disk error and one compile, the artifact is rewritten, and
-// the next instance reloads it cleanly.
+// global address or string literal past its table, is damage; so is a
+// struct that contains itself by value, a field slot with no struct, or
+// a register count past mir.MaxRegs. Loaded unchecked, such a program
+// panics the analysis (wedging its source's flight) or every later run,
+// recurses without end sizing the struct, or allocates gigabytes per
+// call frame; the decoder's Verify rejects it, so it costs one disk
+// error and one compile, the artifact is rewritten, and the next
+// instance reloads it cleanly.
 func TestDiskRejectsOutOfRangeIndices(t *testing.T) {
 	first := func(p *mir.Program, match func(*mir.Instr) bool) *mir.Instr {
 		for _, f := range p.Funcs {
@@ -409,6 +413,16 @@ func TestDiskRejectsOutOfRangeIndices(t *testing.T) {
 		{"string", func(p *mir.Program) {
 			first(p, func(in *mir.Instr) bool { return in.Op == mir.StrConst }).Imm = int64(len(p.Strings))
 		}},
+		{"struct_contains_itself", func(p *mir.Program) {
+			self := &ctypes.Type{Kind: ctypes.Struct, Name: "self"}
+			self.Fields = []ctypes.Field{{Name: "s", Type: self}}
+			p.Globals[0].Type = self
+			p.Vars[p.Globals[0].Var].Type = self
+		}},
+		{"field_slot_without_struct", func(p *mir.Program) {
+			first(p, func(in *mir.Instr) bool { return in.Op == mir.Store }).Slot = mir.Slot{Kind: mir.SlotField}
+		}},
+		{"registers_past_max", func(p *mir.Program) { p.ByName["add"].NumRegs = mir.MaxRegs + 1 }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

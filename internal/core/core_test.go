@@ -172,3 +172,28 @@ func TestSetupHookRuns(t *testing.T) {
 		t.Errorf("setup hook write not visible: exit=%d", res.Exit)
 	}
 }
+
+// TestFunctionPastSixteenBitRegisters: a legal function with more than
+// 65,535 registers compiles, instruments and runs. The lowerer never
+// reuses a register: these 23,000 statements take 115,005.
+func TestFunctionPastSixteenBitRegisters(t *testing.T) {
+	const n = 23000
+	src := "long bump(long *p) {\n" + strings.Repeat("*p = *p + 1;\n", n) + "return *p;\n}\n" +
+		"int main(void) { long v = 0; return bump(&v) % 251; }\n"
+	c, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs := c.Prog.ByName["bump"].NumRegs; regs <= 1<<16 {
+		t.Fatalf("bump has %d registers, want more than %d", regs, 1<<16)
+	}
+	for _, mech := range []sti.Mechanism{sti.None, sti.STWC} {
+		r, err := c.Run(mech, RunConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", mech, err)
+		}
+		if r.Err != nil || r.Exit != n%251 {
+			t.Errorf("%s: exit %d, err %v; want exit %d", mech, r.Exit, r.Err, n%251)
+		}
+	}
+}

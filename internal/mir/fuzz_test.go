@@ -116,7 +116,35 @@ func damagedPayloads() []struct {
 		{"type_out_of_range", payload(typeEntry(ctypes.Int, 0, 0), typeEntry(ctypes.Pointer, 7, 0))},
 		{"trailing_bytes", append(intPtr(), 0)},
 		{"key_doubling", payload(doubling...)},
+		{"struct_contains_itself", damagedProgram(func(p *mir.Program) {
+			self := &ctypes.Type{Kind: ctypes.Struct, Name: "self"}
+			self.Fields = []ctypes.Field{{Name: "a", Type: ctypes.ArrayOf(self, 1)}}
+			p.Vars = []*mir.VarInfo{{Name: "g", Type: self, Global: true}}
+			p.Globals = []*mir.Global{{Name: "g", Type: self}}
+		})},
+		{"field_slot_without_struct", damagedProgram(func(p *mir.Program) {
+			p.Funcs[0].Blocks[0].Instrs[0].Slot = mir.Slot{Kind: mir.SlotField}
+		})},
+		{"field_slot_past_struct", damagedProgram(func(p *mir.Program) {
+			pair := &ctypes.Type{Kind: ctypes.Struct, Name: "pair", Fields: []ctypes.Field{{Name: "a", Type: ctypes.IntType}}}
+			p.Funcs[0].Blocks[0].Instrs[0].Slot = mir.Slot{Kind: mir.SlotField, Struct: pair, Field: 1}
+		})},
+		{"registers_past_max", damagedProgram(func(p *mir.Program) { p.Funcs[0].NumRegs = mir.MaxRegs + 1 })},
 	}
+}
+
+// damagedProgram encodes a one-function program after damage: the
+// payload is well-formed, and only Verify, which decoding ends with, can
+// reject it.
+func damagedProgram(damage func(p *mir.Program)) []byte {
+	main := &mir.Func{Name: "main", NumRegs: 1}
+	main.NewBlock("entry").Instrs = []mir.Instr{
+		{Op: mir.Const, Dst: 0, A: mir.NoReg, B: mir.NoReg, Imm: 1, Ty: ctypes.IntType},
+		{Op: mir.RetOp, Dst: mir.NoReg, A: 0, B: mir.NoReg},
+	}
+	p := &mir.Program{Funcs: []*mir.Func{main}, ByName: map[string]*mir.Func{"main": main}}
+	damage(p)
+	return mir.AppendProgram(nil, p)
 }
 
 // FuzzMIRCodec fuzzes the binary artifact codec behind the disk compile
@@ -210,6 +238,9 @@ func TestCodecRejectsDamage(t *testing.T) {
 	// The hand-built payloads are well-formed apart from their damage.
 	if _, err := mir.DecodeProgram(intPtr()); err != nil {
 		t.Fatalf("hand-built int/int* payload rejected: %v", err)
+	}
+	if _, err := mir.DecodeProgram(damagedProgram(func(*mir.Program) {})); err != nil {
+		t.Fatalf("hand-built program rejected: %v", err)
 	}
 	for _, d := range damagedPayloads() {
 		if p, err := mir.DecodeProgram(d.data); err == nil {

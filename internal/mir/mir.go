@@ -25,6 +25,15 @@ type Reg = int
 // NoReg marks an absent register operand.
 const NoReg Reg = -1
 
+// MaxRegs bounds a function's register count (Func.NumRegs), so a
+// damaged program cannot make the VM allocate a register file of up to
+// 16 GiB; at the bound a frame's file is 64 MiB. Legal source does not
+// reach it: the lowerer never reuses a register, and the densest source
+// it lowers (a chain of unary operators) takes about two registers per
+// byte, so the bound needs some 4 MiB of source in one function, four
+// times rstid's 1 MiB request-body cap.
+const MaxRegs = 1 << 23
+
 // Op enumerates instruction opcodes.
 type Op uint8
 
@@ -386,15 +395,31 @@ func (in *Instr) format(p *Program) string {
 }
 
 // Verify checks structural invariants: every block terminated, branch
-// targets in range, register indices within NumRegs, and every variable,
-// global and string-literal index naming an entry of its table. It
-// returns the first violation.
+// targets in range, register counts within MaxRegs and register indices
+// within NumRegs, every variable, global and string-literal index naming
+// an entry of its table, every field slot naming a field of a struct,
+// and no type containing itself by value. It returns the first
+// violation.
 func (p *Program) Verify() error {
+	var types typeWalk
+	for _, v := range p.Vars {
+		types.root(v.Type)
+	}
+	for _, g := range p.Globals {
+		types.root(g.Type)
+	}
 	for _, f := range p.Funcs {
+		if f.NumRegs < 0 || f.NumRegs > MaxRegs {
+			return fmt.Errorf("mir: %s has %d registers, outside [0, %d]", f.Name, f.NumRegs, MaxRegs)
+		}
 		for _, v := range f.ParamVar {
 			if v < -1 || v >= len(p.Vars) { // -1: an unnamed parameter
 				return fmt.Errorf("mir: %s parameter variable #%d out of range", f.Name, v)
 			}
+		}
+		types.root(f.Ret)
+		for _, t := range f.Params {
+			types.root(t)
 		}
 		if f.Extern {
 			continue
@@ -406,8 +431,9 @@ func (p *Program) Verify() error {
 			if !blk.Terminated() {
 				return fmt.Errorf("mir: %s block %s not terminated", f.Name, blk.Name)
 			}
-			for i, in := range blk.Instrs {
-				for _, r := range []Reg{in.Dst, in.A, in.B} {
+			for i := range blk.Instrs {
+				in := &blk.Instrs[i]
+				for _, r := range [...]Reg{in.Dst, in.A, in.B} {
 					if r != NoReg && (r < 0 || r >= f.NumRegs) {
 						return fmt.Errorf("mir: %s %s#%d register r%d out of range", f.Name, blk.Name, i, r)
 					}
@@ -417,9 +443,18 @@ func (p *Program) Verify() error {
 						return fmt.Errorf("mir: %s %s#%d arg register r%d out of range", f.Name, blk.Name, i, r)
 					}
 				}
-				if in.Slot.Kind == SlotVar && (in.Slot.Var < 0 || in.Slot.Var >= len(p.Vars)) {
-					return fmt.Errorf("mir: %s %s#%d variable #%d out of range", f.Name, blk.Name, i, in.Slot.Var)
+				switch sl := &in.Slot; sl.Kind {
+				case SlotVar:
+					if sl.Var < 0 || sl.Var >= len(p.Vars) {
+						return fmt.Errorf("mir: %s %s#%d variable #%d out of range", f.Name, blk.Name, i, sl.Var)
+					}
+				case SlotField:
+					if sl.Struct == nil || sl.Field < 0 || sl.Field >= len(sl.Struct.Fields) {
+						return fmt.Errorf("mir: %s %s#%d field slot names no struct field", f.Name, blk.Name, i)
+					}
 				}
+				types.root(in.Ty)
+				types.root(in.FromTy)
 				switch in.Op {
 				case StrConst:
 					if in.Imm < 0 || in.Imm >= int64(len(p.Strings)) {
@@ -454,6 +489,93 @@ func (p *Program) Verify() error {
 				}
 			}
 		}
+	}
+	return types.check()
+}
+
+// typeWalk finds a type that contains itself by value: a struct with a
+// field of its own type, directly or through arrays and other structs'
+// fields. Such a type has no size, and ctypes.Type.Size and Align
+// recurse on it until the runtime kills the process. Only the by-value
+// links of arrays and structs are followed: a pointer or function type
+// holds no value of the types it names (a linked list's next pointer
+// closes a legal cycle), and its size is fixed without looking at them.
+// The roots are the types something sizes or lays out: instructions'
+// types, and the types of variables, globals and signatures. A field
+// slot's struct is only ever looked up by name and field index.
+type typeWalk struct {
+	roots []*ctypes.Type
+	last  *ctypes.Type // runs of instructions share a type
+}
+
+const (
+	typeOpen = 1 + iota
+	typeDone
+)
+
+// root adds t to the walk when it can hold a value of another type.
+func (w *typeWalk) root(t *ctypes.Type) {
+	if t != nil && t != w.last && (t.Kind == ctypes.Struct || t.Kind == ctypes.Array) {
+		w.last = t
+		w.roots = append(w.roots, t)
+	}
+}
+
+// check walks every root, one depth-first search per root with an
+// explicit stack, so a deep chain of nested types cannot exhaust the
+// goroutine stack.
+func (w *typeWalk) check() error {
+	if len(w.roots) == 0 {
+		return nil
+	}
+	type frame struct {
+		t    *ctypes.Type
+		next int // index of the next field (or element) to follow
+	}
+	state := make(map[*ctypes.Type]uint8) // absent: unseen; open: on the path; done
+	var stack []frame
+	for _, root := range w.roots {
+		if state[root] != 0 {
+			continue
+		}
+		state[root] = typeOpen
+		stack = append(stack[:0], frame{t: root})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			child := valueLink(top.t, top.next)
+			if child == nil {
+				state[top.t] = typeDone
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			top.next++
+			switch state[child] {
+			case typeOpen:
+				// Only a struct's key is sure to terminate (it is its name).
+				if child.Kind == ctypes.Struct {
+					return fmt.Errorf("mir: struct %s contains itself by value", child.Name)
+				}
+				return fmt.Errorf("mir: an array type contains itself by value")
+			case 0:
+				state[child] = typeOpen
+				stack = append(stack, frame{t: child})
+			}
+		}
+	}
+	return nil
+}
+
+// valueLink returns the i-th type t holds a value of — an array's
+// element, a struct's fields in order — or nil past the last.
+func valueLink(t *ctypes.Type, i int) *ctypes.Type {
+	switch {
+	case t.Kind == ctypes.Array && i == 0:
+		return t.Elem
+	case t.Kind == ctypes.Struct && i < len(t.Fields):
+		if ft := t.Fields[i].Type; ft != nil {
+			return ft
+		}
+		return ctypes.VoidType
 	}
 	return nil
 }

@@ -117,6 +117,112 @@ func TestVerifyRejectsOutOfRangeIndices(t *testing.T) {
 	}
 }
 
+// selfStructs returns struct types that contain themselves by value:
+// directly, through an array, and through another struct.
+func selfStructs() map[string]*ctypes.Type {
+	direct := &ctypes.Type{Kind: ctypes.Struct, Name: "direct"}
+	direct.Fields = []ctypes.Field{{Name: "x", Type: ctypes.IntType}, {Name: "self", Type: direct, Offset: 4}}
+	viaArray := &ctypes.Type{Kind: ctypes.Struct, Name: "via_array"}
+	viaArray.Fields = []ctypes.Field{{Name: "a", Type: ctypes.ArrayOf(viaArray, 2)}}
+	outer := &ctypes.Type{Kind: ctypes.Struct, Name: "outer"}
+	inner := &ctypes.Type{Kind: ctypes.Struct, Name: "inner", Fields: []ctypes.Field{{Name: "o", Type: outer}}}
+	outer.Fields = []ctypes.Field{{Name: "i", Type: inner}}
+	return map[string]*ctypes.Type{"direct": direct, "via_array": viaArray, "via_struct": outer}
+}
+
+// TestVerifyRejectsSelfContainingStruct: a struct that contains itself
+// by value has no size, and sizing it for a stack slot or a global
+// recurses until the process dies, so Verify rejects it wherever a type
+// is sized. A struct that points to itself is an ordinary linked list.
+func TestVerifyRejectsSelfContainingStruct(t *testing.T) {
+	list := &ctypes.Type{Kind: ctypes.Struct, Name: "list"}
+	list.Fields = []ctypes.Field{{Name: "v", Type: ctypes.IntType}, {Name: "next", Type: ctypes.PointerTo(list), Offset: 8}}
+	for name, st := range selfStructs() {
+		for _, place := range []struct {
+			name string
+			put  func(p *Program, ty *ctypes.Type)
+		}{
+			{"alloca", func(p *Program, ty *ctypes.Type) {
+				p.ByName["main"].Blocks[0].Instrs[0] = Instr{Op: Alloca, Dst: 0, A: NoReg, B: NoReg, Ty: ty}
+			}},
+			{"global", func(p *Program, ty *ctypes.Type) {
+				p.Vars = []*VarInfo{{Name: "g", Type: ty, Global: true}}
+				p.Globals = []*Global{{Name: "g", Type: ty, Var: 0}}
+			}},
+		} {
+			t.Run(name+"/"+place.name, func(t *testing.T) {
+				p := tinyProgram()
+				place.put(p, list)
+				if err := p.Verify(); err != nil {
+					t.Fatalf("self-referential list rejected: %v", err)
+				}
+				place.put(p, st)
+				if err := p.Verify(); err == nil || !strings.Contains(err.Error(), "contains itself by value") {
+					t.Errorf("err = %v, want a struct that contains itself by value", err)
+				}
+			})
+		}
+	}
+}
+
+// TestVerifyRejectsBadFieldSlot: the STI analysis reads a field slot's
+// struct and field, so a slot with no struct or a field past the
+// struct's fields is damage.
+func TestVerifyRejectsBadFieldSlot(t *testing.T) {
+	pair := &ctypes.Type{Kind: ctypes.Struct, Name: "pair", Fields: []ctypes.Field{
+		{Name: "a", Type: ctypes.IntType}, {Name: "b", Type: ctypes.IntType, Offset: 4}}}
+	for _, tc := range []struct {
+		name  string
+		slot  Slot
+		valid bool
+	}{
+		{"last_field", Slot{Kind: SlotField, Struct: pair, Field: 1}, true},
+		{"no_struct", Slot{Kind: SlotField, Field: 0}, false},
+		{"field_past_end", Slot{Kind: SlotField, Struct: pair, Field: 2}, false},
+		{"negative_field", Slot{Kind: SlotField, Struct: pair, Field: -1}, false},
+		{"not_a_struct", Slot{Kind: SlotField, Struct: ctypes.IntType, Field: 0}, false},
+	} {
+		p := tinyProgram()
+		p.ByName["main"].Blocks[0].Instrs[2] = Instr{Op: FieldAddr, Dst: 0, A: 1, B: NoReg, Imm: 4, Slot: tc.slot}
+		if err := p.Verify(); (err == nil) != tc.valid {
+			t.Errorf("%s: err = %v, want valid %v", tc.name, err, tc.valid)
+		}
+	}
+}
+
+// TestVerifyRejectsTooManyRegisters: a call frame's register file is
+// sized from NumRegs, so a count past MaxRegs is damage, not a large
+// function. Verify applies the bound to every function alike: nothing
+// reads an extern's NumRegs today, and one rule leaves no gap for a
+// later reader.
+func TestVerifyRejectsTooManyRegisters(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		extern bool
+		valid  bool
+	}{
+		{"max", MaxRegs, false, true},
+		{"past_max", MaxRegs + 1, false, false},
+		{"int32_max", 1<<31 - 1, false, false},
+		{"negative", -1, false, false},
+		{"extern_past_max", MaxRegs + 1, true, false},
+	} {
+		p := tinyProgram()
+		f := p.ByName["main"]
+		if tc.extern {
+			ext := &Func{Name: "ext", Extern: true, NumRegs: tc.n}
+			p.Funcs = append(p.Funcs, ext)
+			p.ByName["ext"] = ext
+		} else {
+			f.NumRegs = tc.n
+		}
+		if err := p.Verify(); (err == nil) != tc.valid {
+			t.Errorf("%s: err = %v, want valid %v", tc.name, err, tc.valid)
+		}
+	}
+}
+
 func TestCloneIsDeepForInstructions(t *testing.T) {
 	p := tinyProgram()
 	q := p.Clone()

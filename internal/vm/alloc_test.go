@@ -341,10 +341,10 @@ func TestFramePoisoning(t *testing.T) {
 			}
 			vars := fr.vars[:cap(fr.vars)]
 			for i := range vars {
-				vars[i] = varSlot{vid: -1, addr: poisonWord}
+				vars[i] = varSlot{pc: -1, addr: poisonWord}
 			}
 			fr.mark = poisonWord
-			fr.fn = nil
+			fr.fc = nil
 		}
 		m.Reset()
 		exit, err := m.Run()

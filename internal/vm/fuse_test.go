@@ -44,18 +44,20 @@ func TestPredecodeFusionMarks(t *testing.T) {
 		{Op: mir.Load, Dst: 9, A: 8, Ty: ctypes.LongType}, // consumes r8 but across the boundary
 	}
 
-	dec, fc := predecode(f)
-	if fc.AuthLoads != 1 || fc.SignStores != 1 || fc.Total() != 2 {
+	img := NewImage(fuseProg(f))
+	if fc := img.FusedGroups(); fc.AuthLoads != 1 || fc.SignStores != 1 || fc.Total() != 2 {
 		t.Fatalf("fused counts = %+v, want exactly 1 auth/load and 1 sign/store", fc)
 	}
-	wantFuse := map[int]fuseKind{0: fuseSignStore, 2: fuseAuthLoad}
-	for ii := range b0.Instrs {
-		if got := dec[0][ii].fuse; got != wantFuse[ii] {
-			t.Errorf("block 0 instr %d: fuse = %d, want %d", ii, got, wantFuse[ii])
+	code := img.code[img.funcs[0].entry:]
+	wantHead := map[int]xop{0: xPacSignStore, 2: xAuthLoad}
+	for ii, in := range b0.Instrs {
+		want, fused := wantHead[ii]
+		if got := code[ii].op; fused && got != want || !fused && irOp[got] != in.Op {
+			t.Errorf("block 0 instr %d: form %d, want fused head %v", ii, got, fused)
 		}
 	}
-	if dec[1][0].fuse != fuseNone {
-		t.Errorf("cross-block load fused; fusion must not cross block boundaries")
+	if b1Start := img.funcs[0].blocks[1]; img.code[b1Start].op != xLoad8 {
+		t.Errorf("cross-block load compiled to form %d; fusion must not cross block boundaries", img.code[b1Start].op)
 	}
 }
 

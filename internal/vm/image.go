@@ -15,42 +15,24 @@ var predecodeCount atomic.Int64
 // PredecodeCount returns the number of program images built so far.
 func PredecodeCount() int64 { return predecodeCount.Load() }
 
-// funcDec is one function's view into the image's flat predecode arena:
-// ops is the function's contiguous decInstr run, off its per-block offset
-// index (block i occupies ops[off[i]:off[i+1]], with len(Blocks)+1
-// entries). Both alias image-wide arenas — a funcDec is two slice
-// headers, nothing is copied per function or per block.
-type funcDec struct {
-	ops []decInstr
-	off []int32
-}
-
-// block returns block i's decoded instructions.
-func (fd funcDec) block(i int) []decInstr { return fd.ops[fd.off[i]:fd.off[i+1]] }
-
 // Image is the immutable execution image of one (post-optimization)
-// program: predecoded instruction metadata — including superinstruction
-// fusion marks — function entry tokens, and the static data layout.
-// Everything in it is read-only after construction, so one Image is
-// safely shared by every Machine executing the same program: engine
-// workers, Program.Run callers, and eval sweeps stop re-predecoding per
-// run. Pass it via Options.Image; a Machine built without one predecodes
-// privately.
+// program: its compiled code, function entry tokens and static data
+// layout. Everything in it is read-only after construction, so one
+// Image is safely shared by every Machine executing the same program:
+// engine workers, Program.Run callers, and eval sweeps stop re-building
+// it per run. Pass it via Options.Image; a Machine built without one
+// builds a private image.
 type Image struct {
 	prog *mir.Program
 
-	// arena holds every non-extern function's predecoded instruction
-	// metadata in one contiguous allocation, blockOff the matching flat
-	// per-block offset index: one allocation each per image instead of
-	// one slice per block, so the interpreter walks a single
-	// cache-friendly run of 16-byte records. dec maps a function to its
-	// view of the two arenas.
-	arena    []decInstr
-	blockOff []int32
-	dec      map[*mir.Func]funcDec
+	// code holds every function's executable records back to back (one
+	// allocation per image); funcs indexes prog.Funcs by position, each
+	// entry viewing its run of one shared block-start arena; args holds
+	// the argument registers of every call.
+	code  []xinstr
+	funcs []funcCode
+	args  []uint32
 
-	funcTok    map[string]uint64
-	tokFunc    map[uint64]*mir.Func
 	globalAddr []uint64
 	stringAddr []uint64
 	gseg       int // globals segment size, see dataLayout
@@ -62,67 +44,69 @@ type Image struct {
 	// any callee never reallocates.
 	maxRegs int
 
-	// sites is the number of monomorphic access-cache slots predecode
-	// assigned (one per fused aut+…+access group); each Machine carries a
-	// sites-long table of last-resolved memory segments.
+	// sites is the number of monomorphic access-cache slots, one per
+	// load and store; each Machine carries a sites-long table of
+	// last-resolved memory segments.
 	sites uint32
 
-	fused FuseCounts // static superinstruction groups marked by predecode
+	fused FuseCounts // static superinstruction groups
 }
 
-// NewImage predecodes prog into a shareable execution image.
+// NewImage compiles prog into a shareable execution image. prog must
+// keep every function's NumRegs within mir.MaxRegs, as Verify requires;
+// NewImage panics otherwise.
 func NewImage(prog *mir.Program) *Image {
 	predecodeCount.Add(1)
-	img := &Image{
-		prog:    prog,
-		funcTok: make(map[string]uint64, len(prog.Funcs)),
-		tokFunc: make(map[uint64]*mir.Func, len(prog.Funcs)),
-		dec:     make(map[*mir.Func]funcDec, len(prog.Funcs)),
-	}
-
+	img := &Image{prog: prog, funcs: make([]funcCode, len(prog.Funcs))}
 	img.globalAddr, img.stringAddr, img.gseg, img.sseg = dataLayout(prog)
 
-	// Pass 1: size the flat arenas and the register watermark.
-	nInstr, nOff := 0, 0
-	for _, f := range prog.Funcs {
-		if f.NumRegs > img.maxRegs {
-			img.maxRegs = f.NumRegs
-		}
-		if f.Extern {
-			continue
-		}
-		for _, blk := range f.Blocks {
-			nInstr += len(blk.Instrs)
-		}
-		nOff += len(f.Blocks) + 1
-	}
-	img.arena = make([]decInstr, nInstr)
-	img.blockOff = make([]int32, nOff)
-
-	// Pass 2: predecode each function into its contiguous slice.
-	iBase, oBase := 0, 0
+	// Pass 1: size the arenas, take the register watermark and index
+	// functions by name (the last of a name wins).
+	index := make(map[string]int32, len(prog.Funcs))
+	nCode, nBlocks := 0, 0
 	for i, f := range prog.Funcs {
-		tok := uint64(FuncBase) + uint64(i)*FuncStride
-		img.funcTok[f.Name] = tok
-		img.tokFunc[tok] = f
+		index[f.Name] = int32(i)
 		if f.Extern {
 			continue
 		}
-		n := 0
-		for _, blk := range f.Blocks {
-			n += len(blk.Instrs)
+		if f.NumRegs > mir.MaxRegs {
+			panic(fmt.Sprintf("vm: %s needs %d registers, over mir.MaxRegs", f.Name, f.NumRegs))
 		}
-		fd := funcDec{
-			ops: img.arena[iBase : iBase+n : iBase+n],
-			off: img.blockOff[oBase : oBase+len(f.Blocks)+1 : oBase+len(f.Blocks)+1],
+		img.maxRegs = max(img.maxRegs, f.NumRegs)
+		nCode += codeLen(f)
+		nBlocks += len(f.Blocks)
+	}
+	img.code = make([]xinstr, nCode)
+	blockPC := make([]int32, nBlocks)
+
+	// Pass 2: compile each function into its run of the code arena.
+	base := 0
+	for i, f := range prog.Funcs {
+		fc := &img.funcs[i]
+		fc.fn, fc.extern = f, f.Extern
+		if f.Extern {
+			continue
 		}
-		fc := predecodeInto(f, fd.ops, fd.off, &img.sites)
-		img.dec[f] = fd
-		img.fused.add(fc)
-		iBase += n
-		oBase += len(f.Blocks) + 1
+		fc.blocks = blockPC[:len(f.Blocks):len(f.Blocks)]
+		blockPC = blockPC[len(f.Blocks):]
+		fc.entry, fc.nregs = int32(base), int32(f.NumRegs)
+		base += img.compileFunc(f, img.code[base:], fc.entry, fc.blocks, index)
 	}
 	return img
+}
+
+// funcToken is the entry token of prog.Funcs[i]: what a code pointer to
+// it looks like in memory.
+func funcToken(i int) uint64 { return FuncBase + uint64(i)*FuncStride }
+
+// funcOf returns f's compiled code, or nil when f is not in the image.
+func (img *Image) funcOf(f *mir.Func) *funcCode {
+	for i := range img.funcs {
+		if img.funcs[i].fn == f {
+			return &img.funcs[i]
+		}
+	}
+	return nil
 }
 
 // dataPad is the slack a data segment carries past its last object.
@@ -134,6 +118,8 @@ const dataPad = 16
 // object's address and the globals and strings segment sizes, dataPad
 // included.
 func dataLayout(prog *mir.Program) (globalAddr, stringAddr []uint64, gseg, sseg int) {
+	globalAddr = make([]uint64, 0, len(prog.Globals))
+	stringAddr = make([]uint64, 0, len(prog.Strings))
 	for _, g := range prog.Globals {
 		a := g.Type.Align()
 		gseg = (gseg + a - 1) / a * a
@@ -171,12 +157,11 @@ func (img *Image) Prog() *mir.Program { return img.prog }
 func (img *Image) MaxRegs() int { return img.maxRegs }
 
 // FusedPairs reports the static number of adjacent aut+load and pac+store
-// pairs predecode marked for fused dispatch (the original two-instruction
+// pairs marked for fused dispatch (the original two-instruction
 // superinstructions; see FusedGroups for the widened set).
 func (img *Image) FusedPairs() (authLoads, signStores int) {
 	return img.fused.AuthLoads, img.fused.SignStores
 }
 
-// FusedGroups reports all static superinstruction groups predecode marked,
-// by kind.
+// FusedGroups reports all static superinstruction groups, by kind.
 func (img *Image) FusedGroups() FuseCounts { return img.fused }

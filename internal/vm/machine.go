@@ -15,7 +15,6 @@ import (
 	"io"
 	"math"
 
-	"rsti/internal/ctypes"
 	"rsti/internal/mir"
 	"rsti/internal/pa"
 )
@@ -38,9 +37,8 @@ type Options struct {
 	Worker *WorkerState
 
 	// Image, when non-nil and built from the same program, supplies the
-	// shared predecoded execution image so concurrent machines skip
-	// per-run predecoding. Nil (or a mismatched program) predecodes
-	// privately.
+	// shared execution image so concurrent machines skip building one
+	// per run. Nil (or a mismatched program) builds one privately.
 	Image *Image
 }
 
@@ -70,14 +68,14 @@ type Machine struct {
 	Mem  *Memory
 
 	// Stats is current whenever no run is in progress: during a run the
-	// step loop counts executed instructions per opcode in ops, and Run
+	// step loop counts executed instructions per form in ops, and Run
 	// and Call fold those counts into Instrs, Cycles and the per-class
 	// counters when they return or trap (see settle).
 	Stats  Stats
 	cycles [mir.NumOps]int64 // per-opcode charge, flattened from the cost model
 
-	// ops counts executed instructions per opcode, not yet settled. It
-	// spans the whole range of mir.Op (a uint8), so the step loop's count
+	// ops counts executed instructions per form (xop), not yet settled.
+	// It spans the whole range of xop (a uint8), so the step loop's count
 	// bump needs no bounds check.
 	ops [256]int64
 
@@ -105,18 +103,17 @@ type Machine struct {
 	// so steady-state execution allocates nothing per call) and the
 	// arg-marshalling scratch stack — per-machine by default, shared and
 	// persistent when an engine worker supplies its WorkerState; img
-	// holds the immutable execution image (predecoded instruction
-	// metadata incl. fusion marks, function tokens, static data layout),
+	// holds the immutable execution image (compiled code incl. fused
+	// superinstruction heads, function tokens, static data layout),
 	// shared across machines when Options.Image supplies one.
 	ws  *WorkerState
 	img *Image
 
-	// sites is the inline monomorphic cache for the fused
-	// aut+(addr)+access superinstructions: one last-resolved memory
-	// segment per static fused access (slot assigned by predecode). A
-	// field access that keeps resolving into the same segment — the
-	// steady state of every pointer-chasing loop — skips the chunk-table
-	// walk and bounds-checks against the cached segment directly; a miss
+	// sites is the inline monomorphic access cache: one last-resolved
+	// memory segment per static load or store (its site, assigned when
+	// the image is built). An access that keeps resolving into the same
+	// segment — the steady state of every loop — bounds-checks against
+	// the cached segment directly and skips the chunk-table walk; a miss
 	// falls back to the full resolver and re-trains the slot. Per-machine
 	// mutable state sized by the image, allocated once at construction.
 	sites []*segment
@@ -140,48 +137,24 @@ type Machine struct {
 const ctxCheckInterval = 1024
 
 type frame struct {
-	fn   *mir.Func
+	fc   *funcCode
 	regs []uint64
 	// vars records this frame's named stack slots in allocation order.
-	// A slice beats a map here: it is appended to on every SlotVar alloca
-	// (hot) and only ever searched by attack hooks via VarAddr (cold).
+	// A slice beats a map here: it is appended to on every named-variable
+	// alloca (hot) and only ever searched by attack hooks via VarAddr
+	// (cold).
 	vars []varSlot
 	mark uint64 // stack watermark to restore on return
 }
 
-// varSlot is one named local's (VarInfo index, address) pair.
+// varSlot is one named local's slot: the code offset of the alloca that
+// made it (VarAddr maps it back to the variable) and its address.
 type varSlot struct {
-	vid  int
+	pc   int32
 	addr uint64
 }
 
-// extKind is a predecoded Load extension / Store narrowing mode.
-type extKind uint8
-
-const (
-	extNone extKind = iota // use the loaded/stored bits as-is
-	extS8                  // sign-extend from 8 bits
-	extS16                 // sign-extend from 16 bits
-	extS32                 // sign-extend from 32 bits
-	extF32                 // float32 <-> float64 conversion
-)
-
-// fuseKind marks an instruction that dispatches its successors in the
-// same interpreter switch arm (a superinstruction group). The mark sits
-// on the group's first instruction.
-type fuseKind uint8
-
-const (
-	fuseNone          fuseKind = iota
-	fuseAuthLoad               // aut ; load through the authenticated pointer
-	fuseSignStore              // pac ; store of the signed value
-	fuseAuthStore              // aut ; store through the authenticated pointer
-	fuseAuthAddrLoad           // aut ; fieldaddr/indexaddr off it ; load
-	fuseAuthAddrStore          // aut ; fieldaddr/indexaddr off it ; store
-)
-
-// FuseCounts tallies the static fused groups predecode marked in one
-// function (or, summed, one image).
+// FuseCounts tallies the static fused groups of one image, by kind.
 type FuseCounts struct {
 	AuthLoads      int
 	SignStores     int
@@ -190,147 +163,9 @@ type FuseCounts struct {
 	AuthAddrStores int
 }
 
-func (c *FuseCounts) add(o FuseCounts) {
-	c.AuthLoads += o.AuthLoads
-	c.SignStores += o.SignStores
-	c.AuthStores += o.AuthStores
-	c.AuthAddrLoads += o.AuthAddrLoads
-	c.AuthAddrStores += o.AuthAddrStores
-}
-
 // Total returns the number of marked groups.
 func (c FuseCounts) Total() int {
 	return c.AuthLoads + c.SignStores + c.AuthStores + c.AuthAddrLoads + c.AuthAddrStores
-}
-
-// decInstr is the predecoded per-instruction metadata: everything the
-// interpreter would otherwise recompute from *ctypes.Type on every
-// execution of the instruction. Fits in 16 bytes so the image arena packs
-// four records per cache line.
-type decInstr struct {
-	aux  uint64   // Alloca: 8-byte-aligned slot size
-	site uint32   // fused access: monomorphic segment-cache slot (on the load/store)
-	size uint8    // Load/Store: access width in bytes
-	ext  extKind  // Load: extension mode; Store: extF32 marks a float32 narrow
-	fuse fuseKind // superinstruction mark on the pair's first instruction
-}
-
-// predecodeInto fills f's slice of the image arena (ops, one contiguous
-// decInstr per instruction) and its block offset index (off,
-// len(Blocks)+1 entries) and marks superinstruction groups (fusion never
-// crosses a block boundary: adjacency is within one Instrs slice). Beyond
-// the original aut+load / pac+store pairs it matches the sequences
-// instrumentation actually emits on struct- and array-heavy code — the
-// authenticated pointer is usually offset by a fieldaddr/indexaddr before
-// the access, so the dominant shapes are aut;addr;load and aut;addr;store
-// triples. Each fused group's memory access is additionally assigned a
-// monomorphic segment-cache slot from *sites (on the access instruction's
-// decInstr). Fusion changes host dispatch only — every modelled number
-// (steps, cycles, per-op counts, trap attribution) is bit-identical to
-// unfused execution.
-func predecodeInto(f *mir.Func, ops []decInstr, off []int32, sites *uint32) (counts FuseCounts) {
-	pos := int32(0)
-	for bi, blk := range f.Blocks {
-		off[bi] = pos
-		ds := ops[pos : pos+int32(len(blk.Instrs))]
-		pos += int32(len(blk.Instrs))
-		for ii := range blk.Instrs {
-			in := &blk.Instrs[ii]
-			d := &ds[ii]
-			switch in.Op {
-			case mir.Load:
-				d.size = uint8(loadSize(in.Ty))
-				d.ext = decodeExt(in.Ty)
-			case mir.Store:
-				d.size = uint8(loadSize(in.Ty))
-				if in.Ty != nil && in.Ty.Kind == ctypes.Float {
-					d.ext = extF32
-				}
-			case mir.Alloca:
-				d.aux = uint64((in.Ty.Size() + 7) &^ 7)
-			}
-		}
-		site := func(ii int) {
-			ds[ii].site = *sites
-			*sites++
-		}
-		for ii := 0; ii+1 < len(blk.Instrs); ii++ {
-			in, next := &blk.Instrs[ii], &blk.Instrs[ii+1]
-			switch {
-			case in.Op == mir.PacAuth && next.Op == mir.Load && next.A == in.Dst:
-				ds[ii].fuse = fuseAuthLoad
-				counts.AuthLoads++
-				site(ii + 1)
-			case in.Op == mir.PacAuth && next.Op == mir.Store && next.A == in.Dst:
-				ds[ii].fuse = fuseAuthStore
-				counts.AuthStores++
-				site(ii + 1)
-			case in.Op == mir.PacAuth && (next.Op == mir.FieldAddr || next.Op == mir.IndexAddr) &&
-				next.A == in.Dst && ii+2 < len(blk.Instrs):
-				third := &blk.Instrs[ii+2]
-				switch {
-				case third.Op == mir.Load && third.A == next.Dst:
-					ds[ii].fuse = fuseAuthAddrLoad
-					counts.AuthAddrLoads++
-					site(ii + 2)
-					ii++ // the addr instruction is claimed by this group
-				case third.Op == mir.Store && third.A == next.Dst:
-					ds[ii].fuse = fuseAuthAddrStore
-					counts.AuthAddrStores++
-					site(ii + 2)
-					ii++
-				}
-			case in.Op == mir.PacSign && next.Op == mir.Store && next.B == in.Dst:
-				ds[ii].fuse = fuseSignStore
-				counts.SignStores++
-				site(ii + 1)
-			}
-		}
-	}
-	off[len(f.Blocks)] = pos
-	return counts
-}
-
-// predecode builds a standalone per-block view of f's decoded
-// instructions. Image construction predecodes into the shared flat arena
-// via predecodeInto; this wrapper keeps the historical per-block shape
-// for tests that inspect a single function's marks.
-func predecode(f *mir.Func) (blocks [][]decInstr, counts FuseCounts) {
-	n := 0
-	for _, blk := range f.Blocks {
-		n += len(blk.Instrs)
-	}
-	ops := make([]decInstr, n)
-	off := make([]int32, len(f.Blocks)+1)
-	var sites uint32
-	counts = predecodeInto(f, ops, off, &sites)
-	blocks = make([][]decInstr, len(f.Blocks))
-	for bi := range f.Blocks {
-		blocks[bi] = ops[off[bi]:off[bi+1]]
-	}
-	return blocks, counts
-}
-
-// decodeExt classifies how a loaded value of type t widens to a register.
-func decodeExt(t *ctypes.Type) extKind {
-	if t == nil {
-		return extNone
-	}
-	switch t.Kind {
-	case ctypes.Float:
-		return extF32
-	case ctypes.Double:
-		return extNone
-	}
-	switch t.Size() {
-	case 1:
-		return extS8
-	case 2:
-		return extS16
-	case 4:
-		return extS32
-	}
-	return extNone
 }
 
 // New builds a Machine for prog.
@@ -412,9 +247,9 @@ func (m *Machine) SetOutput(w io.Writer) {
 // register or memory contents into the next. The PA unit's memo cache is
 // deliberately kept warm (it can only skip recomputing a PAC, never
 // change one) and Stats re-bases on its counters, so the next run still
-// reports per-run deltas. The fused superinstructions' monomorphic
-// segment caches survive a Reset, since the memory layout is unchanged;
-// re-pointing the machine at another image clears them (see prepare).
+// reports per-run deltas. The monomorphic segment caches survive a
+// Reset, since the memory layout is unchanged; re-pointing the machine
+// at another image clears them (see prepare).
 // See WorkerState.MachineFor for the serving-side entry point and the
 // AllocBudget tests for the zero-allocation contract.
 func (m *Machine) Reset() {
@@ -442,87 +277,88 @@ func (m *Machine) Reset() {
 	m.pacHits0, m.pacMisses0 = m.Unit.CacheStats()
 }
 
-// monoLoad is the load half of the fused superinstructions' inline
-// monomorphic site cache (see Machine.sites): a trained site answers with
-// one bounds check against its cached segment; a miss resolves through
-// the chunk table and re-trains. Values and error text are exactly
-// Memory.Load's.
-func (m *Machine) monoLoad(site uint32, addr uint64, n int) (uint64, error) {
-	if s := m.sites[site]; s != nil && addr >= s.base && addr+uint64(n) <= s.base+uint64(len(s.data)) {
-		return loadLE(s.data[addr-s.base:], n), nil
-	}
-	s, off, err := m.Mem.find(addr, n)
-	if err != nil {
-		return 0, err
-	}
-	m.sites[site] = s
-	return loadLE(s.data[off:], n), nil
-}
-
-// monoStore is monoLoad's store half; it also advances the segment's
-// write watermark the way Memory.Store does, so Reset wipes the write.
-func (m *Machine) monoStore(site uint32, addr uint64, v uint64, n int) error {
-	if s := m.sites[site]; s != nil && addr >= s.base && addr+uint64(n) <= s.base+uint64(len(s.data)) {
-		off := int(addr - s.base)
-		if end := off + n; end > s.hi {
-			s.hi = end
+// load returns the memory at ptr for an n-byte load through the
+// load's site cache, or nil when the site misses (resolve then takes
+// over). A trained site answers with one bounds check against its cached
+// segment. Sites are only ever trained with segments that lie wholly in
+// the canonical address range, so a hit is also the canonical check: a
+// pointer with PAC or tag bits set lies above every segment and misses.
+func (m *Machine) load(ptr, site, n uint64) []byte {
+	if s := m.sites[site]; s != nil {
+		// off wraps past the segment's length when ptr is below it, and
+		// the second test cannot wrap once off is within it.
+		if off := ptr - s.base; off < uint64(len(s.data)) && n <= uint64(len(s.data))-off {
+			return s.data[off:]
 		}
-		storeLE(s.data[off:], v, n)
-		return nil
 	}
-	s, off, err := m.Mem.find(addr, n)
-	if err != nil {
-		return err
-	}
-	m.sites[site] = s
-	if end := off + n; end > s.hi {
-		s.hi = end
-	}
-	storeLE(s.data[off:], v, n)
 	return nil
 }
 
+// store is load's store half; it also advances the segment's write
+// watermark the way Memory.Store does, so Reset wipes the write.
+func (m *Machine) store(ptr, site, n uint64) []byte {
+	if s := m.sites[site]; s != nil {
+		if off := ptr - s.base; off < uint64(len(s.data)) && n <= uint64(len(s.data))-off { // as in load
+			if end := int(off + n); end > s.hi {
+				s.hi = end
+			}
+			return s.data[off:]
+		}
+	}
+	return nil
+}
+
+// resolve is the access path behind a site-cache miss (fc and pc name
+// the access in a trap): the canonical check, then the chunk-table
+// walk, which re-trains the site. Traps and error text are those of a
+// Memory.Load or Memory.Store through a canonical pointer.
+func (m *Machine) resolve(ptr, site, n uint64, write bool, fc *funcCode, pc int) ([]byte, error) {
+	if !m.Unit.IsCanonical(ptr) {
+		return nil, m.trapAt(TrapNonCanonical, fc, pc, "pointer %#x has non-address bits set", ptr)
+	}
+	s, off, err := m.Mem.find(m.Unit.Canonical(ptr), int(n))
+	if err != nil {
+		return nil, m.trapAt(TrapOutOfBounds, fc, pc, "%v", err)
+	}
+	if m.Unit.Canonical(s.base+uint64(len(s.data))-1) == s.base+uint64(len(s.data))-1 {
+		m.sites[site] = s
+	}
+	if end := off + int(n); write && end > s.hi {
+		s.hi = end
+	}
+	return s.data[off:], nil
+}
+
 // getFrame takes a frame from the pool (or allocates one) and prepares it
-// for f: registers zeroed and sized, local-variable map emptied.
+// for fc: registers zeroed and sized, local-variable list emptied.
 //
 // Register files are sized from the image's max-regs watermark, not the
-// callee's NumRegs: one frame allocation covers every function of the
-// program, so steady-state frame reuse never reallocates regardless of
-// which callee draws the frame. The watermark check still guards the
+// callee's register count: one frame allocation covers every function of
+// the program, so steady-state frame reuse never reallocates regardless
+// of which callee draws the frame. The watermark check still guards the
 // pooled path — a WorkerState outlives one machine and may carry frames
 // sized by a smaller program's image.
-func (m *Machine) getFrame(f *mir.Func) *frame {
-	if n := len(m.ws.frames); n > 0 {
-		fr := m.ws.frames[n-1]
-		m.ws.frames = m.ws.frames[:n-1]
-		if cap(fr.regs) < f.NumRegs {
-			fr.regs = make([]uint64, m.regWatermark(f))[:f.NumRegs]
+func (m *Machine) getFrame(fc *funcCode) *frame {
+	n := int(fc.nregs)
+	if k := len(m.ws.frames); k > 0 {
+		fr := m.ws.frames[k-1]
+		m.ws.frames = m.ws.frames[:k-1]
+		if cap(fr.regs) < n {
+			fr.regs = make([]uint64, max(m.img.maxRegs, n))[:n]
 		} else {
-			fr.regs = fr.regs[:f.NumRegs]
-			for i := range fr.regs {
-				fr.regs[i] = 0
-			}
+			fr.regs = fr.regs[:n]
+			clear(fr.regs)
 		}
 		fr.vars = fr.vars[:0]
-		fr.fn = f
+		fr.fc = fc
 		fr.mark = m.stackNext
 		return fr
 	}
 	return &frame{
-		fn:   f,
-		regs: make([]uint64, m.regWatermark(f))[:f.NumRegs],
+		fc:   fc,
+		regs: make([]uint64, max(m.img.maxRegs, n))[:n],
 		mark: m.stackNext,
 	}
-}
-
-// regWatermark returns the register-file capacity a new frame is built
-// with: the image watermark, floored by the immediate callee in case a
-// stale image ever under-reports.
-func (m *Machine) regWatermark(f *mir.Func) int {
-	if m.img.maxRegs >= f.NumRegs {
-		return m.img.maxRegs
-	}
-	return f.NumRegs
 }
 
 // RegisterHook installs an attack callback for __hook(id).
@@ -531,8 +367,12 @@ func (m *Machine) RegisterHook(id int64, h Hook) { m.hooks[id] = h }
 // FuncToken returns the entry token of a function — what a code pointer
 // to it looks like in memory.
 func (m *Machine) FuncToken(name string) (uint64, bool) {
-	t, ok := m.img.funcTok[name]
-	return t, ok
+	for i := len(m.Prog.Funcs) - 1; i >= 0; i-- {
+		if m.Prog.Funcs[i].Name == name {
+			return funcToken(i), true
+		}
+	}
+	return 0, false
 }
 
 // GlobalAddr returns the address of a global variable.
@@ -551,11 +391,11 @@ func (m *Machine) GlobalAddr(name string) (uint64, bool) {
 func (m *Machine) VarAddr(fn, name string) (uint64, bool) {
 	for i := len(m.frames) - 1; i >= 0; i-- {
 		fr := m.frames[i]
-		if fr.fn.Name != fn {
+		if fr.fc.fn.Name != fn {
 			continue
 		}
 		for _, vs := range fr.vars {
-			if m.Prog.Vars[vs.vid].Name == name {
+			if m.Prog.Vars[fr.fc.instrAt(int(vs.pc)).Slot.Var].Name == name {
 				return vs.addr, true
 			}
 		}
@@ -564,13 +404,18 @@ func (m *Machine) VarAddr(fn, name string) (uint64, bool) {
 }
 
 // settle brings Stats up to date when a run returns or traps. It folds
-// the per-opcode counts the step loop kept into Instrs, Cycles and the
-// per-class counters, then clears them; chargeBytes adds to Cycles
-// directly. It then copies the PA unit's memoization counters, relative
-// to the counts at the last Reset (a shared worker unit accumulates
-// across runs; Stats always reports this run's share).
+// the per-form counts the step loop kept into per-opcode counts (irOp),
+// those into Instrs, Cycles and the per-class counters, then clears
+// them; chargeBytes adds to Cycles directly. It then copies the PA
+// unit's memoization counters, relative to the counts at the last Reset
+// (a shared worker unit accumulates across runs; Stats always reports
+// this run's share).
 func (m *Machine) settle() {
-	s, n := &m.Stats, &m.ops
+	var n [mir.NumOps + 1]int64 // the last slot collects the uncharged forms
+	for x, c := range m.ops[:numXops] {
+		n[irOp[x]] += c
+	}
+	s := &m.Stats
 	for op, c := range n[:mir.NumOps] {
 		s.Instrs += c
 		s.Cycles += c * m.cycles[op]
@@ -582,7 +427,7 @@ func (m *Machine) settle() {
 	s.PacAuths += n[mir.PacAuth]
 	s.PacStrips += n[mir.PacStrip]
 	s.PPOps += n[mir.PPAdd] + n[mir.PPSign] + n[mir.PPAuth] + n[mir.PPAddTBI]
-	*n = [256]int64{}
+	clear(m.ops[:numXops])
 	hits, misses := m.Unit.CacheStats()
 	s.PACCacheHits = int64(hits - m.pacHits0)
 	s.PACCacheMisses = int64(misses - m.pacMisses0)
@@ -593,7 +438,7 @@ func (m *Machine) settle() {
 func (m *Machine) Run() (int64, error) {
 	defer m.settle()
 	if initFn, ok := m.Prog.Func(mir.InitFuncName); ok {
-		if _, err := m.exec(initFn, nil); err != nil {
+		if _, err := m.exec(m.img.funcOf(initFn), nil); err != nil {
 			if m.exitCode != nil {
 				return *m.exitCode, nil
 			}
@@ -612,7 +457,7 @@ func (m *Machine) Run() (int64, error) {
 	for range mainFn.Params {
 		m.ws.argScratch = append(m.ws.argScratch, 0)
 	}
-	ret, err := m.exec(mainFn, m.ws.argScratch[base:])
+	ret, err := m.exec(m.img.funcOf(mainFn), m.ws.argScratch[base:])
 	m.ws.argScratch = m.ws.argScratch[:base]
 	if m.exitCode != nil {
 		return *m.exitCode, nil
@@ -630,7 +475,7 @@ func (m *Machine) Call(name string, args ...uint64) (uint64, error) {
 		return 0, fmt.Errorf("vm: no function %q", name)
 	}
 	defer m.settle()
-	return m.exec(f, args)
+	return m.exec(m.img.funcOf(f), args)
 }
 
 type exitSentinel struct{ code int64 }
@@ -648,49 +493,68 @@ func (m *Machine) trap(kind TrapKind, f *mir.Func, in *mir.Instr, format string,
 	return t
 }
 
-// canonical validates that ptr is dereferenceable and returns the address
-// bits. A pointer with live PAC bits (or flipped error bits) faults, as on
-// hardware.
-func (m *Machine) canonical(ptr uint64, f *mir.Func, in *mir.Instr) (uint64, error) {
-	if !m.Unit.IsCanonical(ptr) {
-		return 0, m.trap(TrapNonCanonical, f, in, "pointer %#x has non-address bits set", ptr)
-	}
-	return m.Unit.Canonical(ptr), nil
+// trapAt is trap for the instruction at code offset pc of fc: the cold
+// path that maps a record back to its IR instruction.
+func (m *Machine) trapAt(kind TrapKind, fc *funcCode, pc int, format string, args ...interface{}) error {
+	return m.trap(kind, fc.fn, fc.instrAt(pc), format, args...)
 }
 
 // step admits one instruction of a fused group exactly as the main loop
 // admits every instruction (see exec), so a fused group's accounting and
 // trap attribution are those of separate dispatch.
-func (m *Machine) step(f *mir.Func, in *mir.Instr) error {
+func (m *Machine) step(fc *funcCode, pc int, op xop) error {
 	m.steps++
 	if m.steps >= m.check {
-		if err := m.checkpoint(f, in); err != nil {
+		if err := m.checkpoint(fc, pc); err != nil {
 			return err
 		}
 	}
-	m.ops[in.Op]++
+	m.ops[op]++
 	return nil
 }
 
 // checkpoint is the step loop's slow path, taken when steps reaches
-// check. Past the budget it traps; at a multiple of ctxCheckInterval
-// under a cancellable context it polls the context; otherwise it moves
-// check on to the next checkpoint. The step that trips either trap is
-// counted in steps (and named in the message) but never charged: the
-// caller bumps the opcode count only once checkpoint lets it through, so
-// a budget or cancellation trap leaves Stats exactly as the last
-// instruction that ran left them.
-func (m *Machine) checkpoint(f *mir.Func, in *mir.Instr) error {
+// check. A block that ends without a terminator traps first, taking its
+// step back, as it always has: falling off a block is never charged and
+// never trips the budget. Past the budget it traps; at a multiple of
+// ctxCheckInterval under a cancellable context it polls the context;
+// otherwise it moves check on to the next checkpoint. The step that
+// trips either trap is counted in steps (and named in the message) but
+// never charged: the caller bumps the form's count only once checkpoint
+// lets it through, so a budget or cancellation trap leaves Stats
+// exactly as the last instruction that ran left them.
+func (m *Machine) checkpoint(fc *funcCode, pc int) error {
+	if c := &m.img.code[pc]; c.op == xFellOff {
+		return m.fellOff(fc, c)
+	}
 	if m.steps > m.maxSteps {
-		return m.trap(TrapMaxSteps, f, in, "%d steps", m.steps)
+		return m.trapAt(TrapMaxSteps, fc, pc, "%d steps", m.steps)
 	}
 	if m.ctx != nil && m.steps%ctxCheckInterval == 0 {
-		if err := m.cancelled(f, in); err != nil {
+		if err := m.cancelled(fc, pc); err != nil {
 			return err
 		}
 	}
 	m.check = m.nextCheck()
 	return nil
+}
+
+// fellOff takes back the step of an xFellOff record and traps naming
+// its block.
+func (m *Machine) fellOff(fc *funcCode, c *xinstr) error {
+	m.steps--
+	name := ""
+	if c.imm < uint64(len(fc.fn.Blocks)) {
+		name = fc.fn.Blocks[c.imm].Name
+	}
+	return m.trap(TrapOutOfBounds, fc.fn, nil, "fell off block %s", name)
+}
+
+// invalid reports an xInvalid record.
+func (m *Machine) invalid(fc *funcCode, pc int) error {
+	in := fc.instrAt(pc)
+	return fmt.Errorf("vm: %s: cannot execute %s (opcode %d, subcodes %d/%d, callee %q, imm %d)",
+		fc.fn.Name, in.Op, in.Op, in.BinSub, in.CmpSub, in.Callee, in.Imm)
 }
 
 // nextCheck returns the step count of the next checkpoint: the budget
@@ -709,320 +573,418 @@ func (m *Machine) nextCheck() int64 {
 }
 
 // cancelled polls the machine's context at a cancellation checkpoint and
-// converts a done context into the TrapCancelled attributed to in.
-func (m *Machine) cancelled(f *mir.Func, in *mir.Instr) error {
+// converts a done context into the TrapCancelled attributed to the
+// instruction at pc.
+func (m *Machine) cancelled(fc *funcCode, pc int) error {
 	cerr := m.ctx.Err()
 	if cerr == nil {
 		return nil
 	}
-	return &Trap{
-		Kind:  TrapCancelled,
-		Fn:    f.Name,
-		Pos:   in.Pos,
-		Msg:   fmt.Sprintf("%v after %d steps", cerr, m.steps),
-		Cause: cerr,
-	}
+	t := m.trapAt(TrapCancelled, fc, pc, "%v after %d steps", cerr, m.steps).(*Trap)
+	t.Cause = cerr
+	return t
 }
 
-func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
-	if f.Extern {
-		return m.builtin(f, args)
+// exec calls fc with args: a builtin for an extern, else a frame from
+// the pool for the interpreter (run), popped and returned to the pool
+// when the call returns or traps. A panic skips the pop; the engine then
+// discards the worker's state, and Reset empties the frame stack.
+func (m *Machine) exec(fc *funcCode, args []uint64) (uint64, error) {
+	if fc.extern {
+		return m.builtin(fc.fn, args)
 	}
 	if len(m.frames) >= m.maxDepth {
-		return 0, m.trap(TrapStackOverflow, f, nil, "call depth %d", len(m.frames))
+		return 0, m.trap(TrapStackOverflow, fc.fn, nil, "call depth %d", len(m.frames))
 	}
-	fr := m.getFrame(f)
+	fr := m.getFrame(fc)
 	copy(fr.regs, args)
 	m.frames = append(m.frames, fr)
-	defer func() {
-		m.frames = m.frames[:len(m.frames)-1]
-		m.stackNext = fr.mark
-		m.ws.frames = append(m.ws.frames, fr)
-	}()
+	ret, err := m.run(fc, fr)
+	m.frames = m.frames[:len(m.frames)-1]
+	m.stackNext = fr.mark
+	m.ws.frames = append(m.ws.frames, fr)
+	return ret, err
+}
 
-	decoded := m.img.dec[f]
-	blk := f.Blocks[0]
-	dblk := decoded.block(0)
-	instrs := blk.Instrs
+// run is the interpreter: one switch over the image's compiled records,
+// one arm per form, from fc's entry until a return or a trap.
+func (m *Machine) run(fc *funcCode, fr *frame) (uint64, error) {
+	code := m.img.code
 	regs := fr.regs
-	ip := 0
+	pc := int(fc.entry)
+	var err error
 	for {
-		if ip >= len(instrs) {
-			return 0, m.trap(TrapOutOfBounds, f, nil, "fell off block %s", blk.Name)
-		}
-		in := &instrs[ip]
+		c := &code[pc]
 		// Step accounting, inlined: one increment, one compare against the
-		// next checkpoint (budget or cancellation poll, both handled in
-		// the outlined checkpoint), one per-opcode count. Instrs, Cycles
-		// and the class counters are derived from the counts by settle.
+		// next checkpoint (budget, cancellation poll or a fell-off block,
+		// all handled in the outlined checkpoint), one per-form count.
+		// Instrs, Cycles and the class counters are derived by settle.
 		m.steps++
 		if m.steps >= m.check {
-			if err := m.checkpoint(f, in); err != nil {
+			if err := m.checkpoint(fc, pc); err != nil {
 				return 0, err
 			}
 		}
-		m.ops[in.Op]++
+		m.ops[c.op]++
 
-		switch in.Op {
-		case mir.Nop:
+		switch c.op {
+		case xNop:
 
-		case mir.Const:
-			regs[in.Dst] = uint64(in.Imm)
-		case mir.ConstF:
-			regs[in.Dst] = uint64(in.Imm)
-		case mir.StrConst:
-			regs[in.Dst] = m.img.stringAddr[in.Imm]
-		case mir.Alloca:
-			size := dblk[ip].aux
+		case xConst, xConstF, xStrConst, xGlobalAddr, xFuncAddr:
+			regs[c.dst] = c.imm
+		case xAlloca, xAllocaVar:
+			size := c.imm
 			if m.stackNext+size > m.stackEnd {
-				return 0, m.trap(TrapStackOverflow, f, in, "stack segment exhausted")
+				return 0, m.trapAt(TrapStackOverflow, fc, pc, "stack segment exhausted")
 			}
 			addr := m.stackNext
 			m.stackNext += size
 			// Zero the slot: C does not, but determinism is worth more
 			// to a simulator than modelling uninitialized reads.
 			if b, err := m.Mem.Bytes(addr, int(size)); err == nil {
-				for i := range b {
-					b[i] = 0
+				clear(b)
+			}
+			regs[c.dst] = addr
+			if c.op == xAllocaVar {
+				fr.vars = append(fr.vars, varSlot{int32(pc), addr})
+			}
+
+		// One arm per access form, so the width is a constant and ld/st
+		// fold to a single move. On a 2-vCPU Xeon, sharing
+		// loadTail/storeTail instead ran the Figure 9 suite 14% slower
+		// (12 of 12 paired runs), and one load arm and one store arm
+		// switching on the form 11% slower (5 of 6).
+		case xLoad1:
+			b := m.load(regs[c.a], c.imm, 1)
+			if b == nil {
+				if b, err = m.resolve(regs[c.a], c.imm, 1, false, fc, pc); err != nil {
+					return 0, err
 				}
 			}
-			regs[in.Dst] = addr
-			if in.Slot.Kind == mir.SlotVar {
-				fr.vars = append(fr.vars, varSlot{in.Slot.Var, addr})
-			}
-		case mir.GlobalAddr:
-			regs[in.Dst] = m.img.globalAddr[in.Imm]
-		case mir.FuncAddr:
-			regs[in.Dst] = m.img.funcTok[in.Callee]
-
-		case mir.Load:
-			addr, err := m.canonical(regs[in.A], f, in)
-			if err != nil {
-				return 0, err
-			}
-			d := &dblk[ip]
-			v, err := m.Mem.Load(addr, int(d.size))
-			if err != nil {
-				return 0, m.trap(TrapOutOfBounds, f, in, "%v", err)
-			}
-			regs[in.Dst] = extendDec(v, d.ext)
-		case mir.Store:
-			addr, err := m.canonical(regs[in.A], f, in)
-			if err != nil {
-				return 0, err
-			}
-			d := &dblk[ip]
-			if err := m.Mem.Store(addr, narrowDec(regs[in.B], d.ext), int(d.size)); err != nil {
-				return 0, m.trap(TrapOutOfBounds, f, in, "%v", err)
-			}
-
-		case mir.FieldAddr:
-			regs[in.Dst] = regs[in.A] + uint64(in.Imm)
-		case mir.IndexAddr:
-			regs[in.Dst] = regs[in.A] + uint64(int64(regs[in.B])*in.Imm)
-
-		case mir.BinInstr:
-			v, err := m.binop(in, regs[in.A], regs[in.B], f)
-			if err != nil {
-				return 0, err
-			}
-			regs[in.Dst] = v
-		case mir.CmpInstr:
-			regs[in.Dst] = cmp(in.CmpSub, regs[in.A], regs[in.B], in.FromTy)
-
-		case mir.CastOp:
-			regs[in.Dst] = castValue(regs[in.A], in.FromTy, in.Ty)
-
-		case mir.CallOp:
-			var callee *mir.Func
-			if in.Callee != "" {
-				callee = m.Prog.ByName[in.Callee]
-			} else {
-				tok := regs[in.A]
-				if !m.Unit.IsCanonical(tok) {
-					return 0, m.trap(TrapNonCanonical, f, in, "indirect call through %#x with non-address bits", tok)
-				}
-				callee = m.img.tokFunc[m.Unit.Canonical(tok)]
-				if callee == nil {
-					return 0, m.trap(TrapBadCall, f, in, "%#x is not a function entry", tok)
+			regs[c.dst] = ld(xLoad1, b)
+		case xLoad2:
+			b := m.load(regs[c.a], c.imm, 2)
+			if b == nil {
+				if b, err = m.resolve(regs[c.a], c.imm, 2, false, fc, pc); err != nil {
+					return 0, err
 				}
 			}
-			// Marshal arguments on the shared scratch stack: the callee
-			// copies them into its own registers (or a builtin consumes
-			// them) before this frame touches the stack again, so the
-			// watermark discipline is safe under recursion.
-			base := len(m.ws.argScratch)
-			for _, r := range in.Args {
-				m.ws.argScratch = append(m.ws.argScratch, regs[r])
+			regs[c.dst] = ld(xLoad2, b)
+		case xLoad4:
+			b := m.load(regs[c.a], c.imm, 4)
+			if b == nil {
+				if b, err = m.resolve(regs[c.a], c.imm, 4, false, fc, pc); err != nil {
+					return 0, err
+				}
 			}
-			ret, err := m.exec(callee, m.ws.argScratch[base:])
-			m.ws.argScratch = m.ws.argScratch[:base]
+			regs[c.dst] = ld(xLoad4, b)
+		case xLoad4F:
+			b := m.load(regs[c.a], c.imm, 4)
+			if b == nil {
+				if b, err = m.resolve(regs[c.a], c.imm, 4, false, fc, pc); err != nil {
+					return 0, err
+				}
+			}
+			regs[c.dst] = ld(xLoad4F, b)
+		case xLoad8:
+			b := m.load(regs[c.a], c.imm, 8)
+			if b == nil {
+				if b, err = m.resolve(regs[c.a], c.imm, 8, false, fc, pc); err != nil {
+					return 0, err
+				}
+			}
+			regs[c.dst] = ld(xLoad8, b)
+
+		case xStore1:
+			b := m.store(regs[c.a], c.imm, 1)
+			if b == nil {
+				if b, err = m.resolve(regs[c.a], c.imm, 1, true, fc, pc); err != nil {
+					return 0, err
+				}
+			}
+			st(xStore1, b, regs[c.b])
+		case xStore2:
+			b := m.store(regs[c.a], c.imm, 2)
+			if b == nil {
+				if b, err = m.resolve(regs[c.a], c.imm, 2, true, fc, pc); err != nil {
+					return 0, err
+				}
+			}
+			st(xStore2, b, regs[c.b])
+		case xStore4:
+			b := m.store(regs[c.a], c.imm, 4)
+			if b == nil {
+				if b, err = m.resolve(regs[c.a], c.imm, 4, true, fc, pc); err != nil {
+					return 0, err
+				}
+			}
+			st(xStore4, b, regs[c.b])
+		case xStore4F:
+			b := m.store(regs[c.a], c.imm, 4)
+			if b == nil {
+				if b, err = m.resolve(regs[c.a], c.imm, 4, true, fc, pc); err != nil {
+					return 0, err
+				}
+			}
+			st(xStore4F, b, regs[c.b])
+		case xStore8:
+			b := m.store(regs[c.a], c.imm, 8)
+			if b == nil {
+				if b, err = m.resolve(regs[c.a], c.imm, 8, true, fc, pc); err != nil {
+					return 0, err
+				}
+			}
+			st(xStore8, b, regs[c.b])
+
+		case xFieldAddr:
+			regs[c.dst] = regs[c.a] + c.imm
+		case xIndexAddr:
+			regs[c.dst] = regs[c.a] + uint64(int64(regs[c.b])*int64(c.imm))
+
+		case xAdd:
+			regs[c.dst] = regs[c.a] + regs[c.b]
+		case xSub:
+			regs[c.dst] = regs[c.a] - regs[c.b]
+		case xMul:
+			regs[c.dst] = uint64(int64(regs[c.a]) * int64(regs[c.b]))
+		case xDiv:
+			if regs[c.b] == 0 {
+				return 0, m.trapAt(TrapDivideByZero, fc, pc, "division by zero")
+			}
+			regs[c.dst] = uint64(int64(regs[c.a]) / int64(regs[c.b]))
+		case xRem:
+			if regs[c.b] == 0 {
+				return 0, m.trapAt(TrapDivideByZero, fc, pc, "remainder by zero")
+			}
+			regs[c.dst] = uint64(int64(regs[c.a]) % int64(regs[c.b]))
+		case xAnd:
+			regs[c.dst] = regs[c.a] & regs[c.b]
+		case xOr:
+			regs[c.dst] = regs[c.a] | regs[c.b]
+		case xXor:
+			regs[c.dst] = regs[c.a] ^ regs[c.b]
+		case xShl:
+			regs[c.dst] = regs[c.a] << (regs[c.b] & 63)
+		case xShr:
+			regs[c.dst] = uint64(int64(regs[c.a]) >> (regs[c.b] & 63))
+		case xFAdd:
+			regs[c.dst] = math.Float64bits(math.Float64frombits(regs[c.a]) + math.Float64frombits(regs[c.b]))
+		case xFSub:
+			regs[c.dst] = math.Float64bits(math.Float64frombits(regs[c.a]) - math.Float64frombits(regs[c.b]))
+		case xFMul:
+			regs[c.dst] = math.Float64bits(math.Float64frombits(regs[c.a]) * math.Float64frombits(regs[c.b]))
+		case xFDiv:
+			regs[c.dst] = math.Float64bits(math.Float64frombits(regs[c.a]) / math.Float64frombits(regs[c.b]))
+
+		case xEq:
+			regs[c.dst] = b2u(regs[c.a] == regs[c.b])
+		case xNe:
+			regs[c.dst] = b2u(regs[c.a] != regs[c.b])
+		case xLt:
+			regs[c.dst] = b2u(int64(regs[c.a]) < int64(regs[c.b]))
+		case xLe:
+			regs[c.dst] = b2u(int64(regs[c.a]) <= int64(regs[c.b]))
+		case xGt:
+			regs[c.dst] = b2u(int64(regs[c.a]) > int64(regs[c.b]))
+		case xGe:
+			regs[c.dst] = b2u(int64(regs[c.a]) >= int64(regs[c.b]))
+		case xFEq:
+			regs[c.dst] = b2u(math.Float64frombits(regs[c.a]) == math.Float64frombits(regs[c.b]))
+		case xFNe:
+			regs[c.dst] = b2u(math.Float64frombits(regs[c.a]) != math.Float64frombits(regs[c.b]))
+		case xFLt:
+			regs[c.dst] = b2u(math.Float64frombits(regs[c.a]) < math.Float64frombits(regs[c.b]))
+		case xFLe:
+			regs[c.dst] = b2u(math.Float64frombits(regs[c.a]) <= math.Float64frombits(regs[c.b]))
+		case xFGt:
+			regs[c.dst] = b2u(math.Float64frombits(regs[c.a]) > math.Float64frombits(regs[c.b]))
+		case xFGe:
+			regs[c.dst] = b2u(math.Float64frombits(regs[c.a]) >= math.Float64frombits(regs[c.b]))
+
+		case xCastBits:
+			regs[c.dst] = regs[c.a]
+		case xCastS8:
+			regs[c.dst] = sx8(regs[c.a])
+		case xCastS16:
+			regs[c.dst] = sx16(regs[c.a])
+		case xCastS32:
+			regs[c.dst] = sx32(regs[c.a])
+		case xCastF2I:
+			regs[c.dst] = f2i(regs[c.a])
+		case xCastF2S8:
+			regs[c.dst] = sx8(f2i(regs[c.a]))
+		case xCastF2S16:
+			regs[c.dst] = sx16(f2i(regs[c.a]))
+		case xCastF2S32:
+			regs[c.dst] = sx32(f2i(regs[c.a]))
+		case xCastI2F:
+			regs[c.dst] = i2f(regs[c.a])
+
+		case xCall:
+			ret, err := m.call(&m.img.funcs[uint32(c.imm)], c, regs)
 			if err != nil {
 				return 0, err
 			}
-			if in.Dst != mir.NoReg {
-				regs[in.Dst] = ret
+			if c.dst != noReg {
+				regs[c.dst] = ret
+			}
+		case xCallIndirect:
+			// A token is an entry iff its canonical bits are FuncBase
+			// plus a whole number of strides short of the function count.
+			tok := regs[c.a]
+			if !m.Unit.IsCanonical(tok) {
+				return 0, m.trapAt(TrapNonCanonical, fc, pc, "indirect call through %#x with non-address bits", tok)
+			}
+			off := m.Unit.Canonical(tok) - FuncBase
+			if off%FuncStride != 0 || off/FuncStride >= uint64(len(m.img.funcs)) {
+				return 0, m.trapAt(TrapBadCall, fc, pc, "%#x is not a function entry", tok)
+			}
+			ret, err := m.call(&m.img.funcs[off/FuncStride], c, regs)
+			if err != nil {
+				return 0, err
+			}
+			if c.dst != noReg {
+				regs[c.dst] = ret
 			}
 
-		case mir.RetOp:
-			if in.A == mir.NoReg {
-				return 0, nil
-			}
-			return regs[in.A], nil
+		case xRet:
+			return regs[c.a], nil
+		case xRetVoid:
+			return 0, nil
 
-		case mir.Jmp:
-			blk = f.Blocks[in.Targets[0]]
-			dblk = decoded.block(blk.Index)
-			instrs = blk.Instrs
-			ip = 0
+		case xJmp:
+			pc = int(c.imm)
 			continue
-		case mir.Br:
-			if regs[in.A] != 0 {
-				blk = f.Blocks[in.Targets[0]]
+		case xBr:
+			if regs[c.a] != 0 {
+				pc = int(uint32(c.imm))
 			} else {
-				blk = f.Blocks[in.Targets[1]]
+				pc = int(c.imm >> 32)
 			}
-			dblk = decoded.block(blk.Index)
-			instrs = blk.Instrs
-			ip = 0
 			continue
 
-		case mir.PacSign:
-			regs[in.Dst] = m.Unit.Sign(regs[in.A], pa.KeyID(in.Key), m.modifier(in, regs))
-			if dblk[ip].fuse == fuseSignStore {
-				// Fused pac+store superinstruction: dispatch the adjacent
-				// store in the same switch arm. Accounting and trap
-				// attribution are those of two separate instructions (a
-				// memory fault names the store, not the sign).
-				ip++
-				in = &instrs[ip]
-				if err := m.step(f, in); err != nil {
-					return 0, err
-				}
-				m.Stats.FusedSignStores++
-				m.Stats.FusedInstrs += 2
-				addr, err := m.canonical(regs[in.A], f, in)
-				if err != nil {
-					return 0, err
-				}
-				d := &dblk[ip]
-				if err := m.monoStore(d.site, addr, narrowDec(regs[in.B], d.ext), int(d.size)); err != nil {
-					return 0, m.trap(TrapOutOfBounds, f, in, "%v", err)
-				}
+		case xPacSign:
+			regs[c.dst] = m.Unit.Sign(regs[c.a], pa.KeyID(c.key), modifier(c, regs))
+		case xPacSignStore:
+			// Fused pac+store superinstruction: dispatch the adjacent
+			// store in the same switch arm. Accounting and trap
+			// attribution are those of two separate instructions (a
+			// memory fault names the store, not the sign).
+			regs[c.dst] = m.Unit.Sign(regs[c.a], pa.KeyID(c.key), modifier(c, regs))
+			pc++
+			c = &code[pc]
+			if err := m.step(fc, pc, c.op); err != nil {
+				return 0, err
 			}
-		case mir.PacAuth:
-			mod := m.modifier(in, regs)
-			v, ok := m.Unit.Auth(regs[in.A], pa.KeyID(in.Key), mod)
-			if !ok {
-				return 0, m.trap(TrapAuthFailure, f, in, "aut failed on %#x (mod %#x)", regs[in.A], mod)
+			m.Stats.FusedSignStores++
+			m.Stats.FusedInstrs += 2
+			if err := m.storeTail(c, regs, fc, pc); err != nil {
+				return 0, err
 			}
-			regs[in.Dst] = v
-			// Fused superinstruction tails. An authentication failure above
-			// traps naming the aut; each fused follower is admitted by step,
-			// so accounting and trap attribution stay bit-identical to
-			// separate dispatch (a memory fault names the load/store, never
-			// the aut).
-			switch dblk[ip].fuse {
-			case fuseAuthLoad:
-				ip++
-				in = &instrs[ip]
-				if err := m.step(f, in); err != nil {
-					return 0, err
-				}
-				m.Stats.FusedAuthLoads++
-				m.Stats.FusedInstrs += 2
-				addr, err := m.canonical(regs[in.A], f, in)
-				if err != nil {
-					return 0, err
-				}
-				d := &dblk[ip]
-				lv, err := m.monoLoad(d.site, addr, int(d.size))
-				if err != nil {
-					return 0, m.trap(TrapOutOfBounds, f, in, "%v", err)
-				}
-				regs[in.Dst] = extendDec(lv, d.ext)
-			case fuseAuthStore:
-				ip++
-				in = &instrs[ip]
-				if err := m.step(f, in); err != nil {
-					return 0, err
-				}
-				m.Stats.FusedAuthStores++
-				m.Stats.FusedInstrs += 2
-				addr, err := m.canonical(regs[in.A], f, in)
-				if err != nil {
-					return 0, err
-				}
-				d := &dblk[ip]
-				if err := m.monoStore(d.site, addr, narrowDec(regs[in.B], d.ext), int(d.size)); err != nil {
-					return 0, m.trap(TrapOutOfBounds, f, in, "%v", err)
-				}
-			case fuseAuthAddrLoad, fuseAuthAddrStore:
-				kind := dblk[ip].fuse
-				// Address computation off the authenticated pointer.
-				ip++
-				in = &instrs[ip]
-				if err := m.step(f, in); err != nil {
-					return 0, err
-				}
-				if in.Op == mir.FieldAddr {
-					regs[in.Dst] = regs[in.A] + uint64(in.Imm)
-				} else {
-					regs[in.Dst] = regs[in.A] + uint64(int64(regs[in.B])*in.Imm)
-				}
-				// The access itself.
-				ip++
-				in = &instrs[ip]
-				if err := m.step(f, in); err != nil {
-					return 0, err
-				}
-				m.Stats.FusedInstrs += 3
-				addr, err := m.canonical(regs[in.A], f, in)
-				if err != nil {
-					return 0, err
-				}
-				d := &dblk[ip]
-				if kind == fuseAuthAddrLoad {
-					m.Stats.FusedAuthAddrLoads++
-					lv, err := m.monoLoad(d.site, addr, int(d.size))
-					if err != nil {
-						return 0, m.trap(TrapOutOfBounds, f, in, "%v", err)
-					}
-					regs[in.Dst] = extendDec(lv, d.ext)
-				} else {
-					m.Stats.FusedAuthAddrStores++
-					if err := m.monoStore(d.site, addr, narrowDec(regs[in.B], d.ext), int(d.size)); err != nil {
-						return 0, m.trap(TrapOutOfBounds, f, in, "%v", err)
-					}
-				}
+		case xPacAuth:
+			v, err := m.auth(c, regs, fc, pc)
+			if err != nil {
+				return 0, err
 			}
-		case mir.PacStrip:
-			regs[in.Dst] = m.Unit.Strip(regs[in.A])
+			regs[c.dst] = v
+		// Fused aut heads. An authentication failure traps naming the
+		// aut; each fused follower is admitted by step, so accounting and
+		// trap attribution stay bit-identical to separate dispatch (a
+		// memory fault names the load/store, never the aut).
+		case xAuthLoad:
+			v, err := m.auth(c, regs, fc, pc)
+			if err != nil {
+				return 0, err
+			}
+			regs[c.dst] = v
+			pc++
+			c = &code[pc]
+			if err := m.step(fc, pc, c.op); err != nil {
+				return 0, err
+			}
+			m.Stats.FusedAuthLoads++
+			m.Stats.FusedInstrs += 2
+			if err := m.loadTail(c, regs, fc, pc); err != nil {
+				return 0, err
+			}
+		case xAuthStore:
+			v, err := m.auth(c, regs, fc, pc)
+			if err != nil {
+				return 0, err
+			}
+			regs[c.dst] = v
+			pc++
+			c = &code[pc]
+			if err := m.step(fc, pc, c.op); err != nil {
+				return 0, err
+			}
+			m.Stats.FusedAuthStores++
+			m.Stats.FusedInstrs += 2
+			if err := m.storeTail(c, regs, fc, pc); err != nil {
+				return 0, err
+			}
+		case xAuthAddrLoad, xAuthAddrStore:
+			head := c.op
+			v, err := m.auth(c, regs, fc, pc)
+			if err != nil {
+				return 0, err
+			}
+			regs[c.dst] = v
+			// Address computation off the authenticated pointer.
+			pc++
+			c = &code[pc]
+			if err := m.step(fc, pc, c.op); err != nil {
+				return 0, err
+			}
+			if c.op == xFieldAddr {
+				regs[c.dst] = regs[c.a] + c.imm
+			} else {
+				regs[c.dst] = regs[c.a] + uint64(int64(regs[c.b])*int64(c.imm))
+			}
+			// The access itself.
+			pc++
+			c = &code[pc]
+			if err := m.step(fc, pc, c.op); err != nil {
+				return 0, err
+			}
+			m.Stats.FusedInstrs += 3
+			if head == xAuthAddrLoad {
+				m.Stats.FusedAuthAddrLoads++
+				err = m.loadTail(c, regs, fc, pc)
+			} else {
+				m.Stats.FusedAuthAddrStores++
+				err = m.storeTail(c, regs, fc, pc)
+			}
+			if err != nil {
+				return 0, err
+			}
+		case xPacStrip:
+			regs[c.dst] = m.Unit.Strip(regs[c.a])
 
-		case mir.PPAdd:
+		case xPPAdd:
 			// The metadata store is read-only: first registration wins,
 			// and a conflicting re-registration is a violation.
-			entry := ppEntry{mod: in.Mod, inner: uint16(in.Imm)}
-			if old, ok := m.ppMods[in.CE]; ok && old != entry {
-				return 0, m.trap(TrapPPViolation, f, in, "CE %d re-registered with a different FE", in.CE)
+			ce, entry := uint16(c.a), ppEntry{mod: c.imm, inner: uint16(c.b)}
+			if old, ok := m.ppMods[ce]; ok && old != entry {
+				return 0, m.trapAt(TrapPPViolation, fc, pc, "CE %d re-registered with a different FE", ce)
 			}
-			m.ppMods[in.CE] = entry
-		case mir.PPAddTBI:
-			regs[in.Dst] = m.Unit.SetTag(regs[in.A], byte(in.CE))
-		case mir.PPSign:
-			mod, _, err := m.ppResolve(in, regs, f)
+			m.ppMods[ce] = entry
+		case xPPAddTBI:
+			regs[c.dst] = m.Unit.SetTag(regs[c.a], byte(c.imm))
+		case xPPSign, xPPSignLoc:
+			mod, _, err := m.ppResolve(c, regs, fc, pc)
 			if err != nil {
 				return 0, err
 			}
-			regs[in.Dst] = m.Unit.Sign(regs[in.B], pa.KeyID(in.Key), mod)
-		case mir.PPAuth:
-			mod, inner, err := m.ppResolve(in, regs, f)
+			regs[c.dst] = m.Unit.Sign(regs[c.b], pa.KeyID(c.key), mod)
+		case xPPAuth, xPPAuthLoc:
+			mod, inner, err := m.ppResolve(c, regs, fc, pc)
 			if err != nil {
 				return 0, err
 			}
-			v, ok := m.Unit.Auth(regs[in.B], pa.KeyID(in.Key), mod)
+			v, ok := m.Unit.Auth(regs[c.b], pa.KeyID(c.key), mod)
 			if !ok {
-				return 0, m.trap(TrapAuthFailure, f, in, "pp_auth failed on %#x", regs[in.B])
+				return 0, m.trapAt(TrapAuthFailure, fc, pc, "pp_auth failed on %#x", regs[c.b])
 			}
 			// Multi-level indirection: the authenticated inner pointer is
 			// itself a universal pointer one level down; plant the next
@@ -1030,45 +992,102 @@ func (m *Machine) exec(f *mir.Func, args []uint64) (uint64, error) {
 			if inner != 0 {
 				v = m.Unit.SetTag(v, byte(inner))
 			}
-			regs[in.Dst] = v
+			regs[c.dst] = v
 
-		default:
-			return 0, fmt.Errorf("vm: unknown op %s", in.Op)
+		case xFellOff:
+			return 0, m.fellOff(fc, c)
+		default: // xInvalid
+			return 0, m.invalid(fc, pc)
 		}
-		ip++
+		pc++
 	}
 }
 
+// call marshals a call record's arguments on the shared scratch stack
+// and runs callee: the callee copies them into its own registers (or a
+// builtin consumes them) before this frame touches the stack again, so
+// the watermark discipline is safe under recursion.
+func (m *Machine) call(callee *funcCode, c *xinstr, regs []uint64) (uint64, error) {
+	base := len(m.ws.argScratch)
+	off := c.imm >> 32
+	for _, r := range m.img.args[off : off+uint64(c.b)] {
+		m.ws.argScratch = append(m.ws.argScratch, regs[r])
+	}
+	ret, err := m.exec(callee, m.ws.argScratch[base:])
+	m.ws.argScratch = m.ws.argScratch[:base]
+	return ret, err
+}
+
+// auth executes a pac-auth record (a fused head's or a plain one) and
+// traps naming it when authentication fails.
+func (m *Machine) auth(c *xinstr, regs []uint64, fc *funcCode, pc int) (uint64, error) {
+	mod := modifier(c, regs)
+	v, ok := m.Unit.Auth(regs[c.a], pa.KeyID(c.key), mod)
+	if !ok {
+		return 0, m.trapAt(TrapAuthFailure, fc, pc, "aut failed on %#x (mod %#x)", regs[c.a], mod)
+	}
+	return v, nil
+}
+
+// loadTail executes the load record that closes a fused group, with the
+// value semantics of the interpreter's own load arms.
+func (m *Machine) loadTail(c *xinstr, regs []uint64, fc *funcCode, pc int) error {
+	n := width[c.op]
+	b := m.load(regs[c.a], c.imm, n)
+	if b == nil {
+		var err error
+		if b, err = m.resolve(regs[c.a], c.imm, n, false, fc, pc); err != nil {
+			return err
+		}
+	}
+	regs[c.dst] = ld(c.op, b)
+	return nil
+}
+
+// storeTail is loadTail's store half.
+func (m *Machine) storeTail(c *xinstr, regs []uint64, fc *funcCode, pc int) error {
+	n := width[c.op]
+	b := m.store(regs[c.a], c.imm, n)
+	if b == nil {
+		var err error
+		if b, err = m.resolve(regs[c.a], c.imm, n, true, fc, pc); err != nil {
+			return err
+		}
+	}
+	st(c.op, b, regs[c.b])
+	return nil
+}
+
 // modifier computes a PA modifier: the static part, XORed with the
-// location register for RSTI-STL sites (B holds &p).
-func (m *Machine) modifier(in *mir.Instr, regs []uint64) uint64 {
-	mod := in.Mod
-	if in.B != mir.NoReg {
-		mod ^= regs[in.B]
+// location register for RSTI-STL sites (b holds &p).
+func modifier(c *xinstr, regs []uint64) uint64 {
+	mod := c.imm
+	if c.b != noReg {
+		mod ^= regs[c.b]
 	}
 	return mod
 }
 
-// ppModifier resolves the modifier for a pointer-to-pointer access: the
-// CE tag on the outer pointer (register A) selects the Full Equivalent
+// ppResolve resolves the modifier for a pointer-to-pointer access: the
+// CE tag on the outer pointer (register a) selects the Full Equivalent
 // modifier from the read-only store; an untagged outer pointer falls back
 // to the static modifier (the declared pointee type). Under RSTI-STL the
-// instruction carries Imm == 1 and the outer pointer's address — the
+// instruction is a Loc form and the outer pointer's address — the
 // location of the slot being accessed — is XORed in, mirroring the
 // location binding of direct slot accesses.
-func (m *Machine) ppResolve(in *mir.Instr, regs []uint64, f *mir.Func) (mod uint64, inner uint16, err error) {
-	mod = in.Mod
-	tag := m.Unit.Tag(regs[in.A])
+func (m *Machine) ppResolve(c *xinstr, regs []uint64, fc *funcCode, pc int) (mod uint64, inner uint16, err error) {
+	mod = c.imm
+	tag := m.Unit.Tag(regs[c.a])
 	if tag != 0 {
 		stored, ok := m.ppMods[uint16(tag)]
 		if !ok {
-			return 0, 0, m.trap(TrapPPViolation, f, in, "CE %d not registered", tag)
+			return 0, 0, m.trapAt(TrapPPViolation, fc, pc, "CE %d not registered", tag)
 		}
 		mod = stored.mod
 		inner = stored.inner
 	}
-	if in.Imm == 1 {
-		mod ^= m.Unit.Canonical(regs[in.A])
+	if c.op == xPPSignLoc || c.op == xPPAuthLoc {
+		mod ^= m.Unit.Canonical(regs[c.a])
 	}
 	return mod, inner, nil
 }
@@ -1079,149 +1098,4 @@ func (m *Machine) ppResolve(in *mir.Instr, regs []uint64, f *mir.Func) (mod uint
 type ppEntry struct {
 	mod   uint64
 	inner uint16
-}
-
-func loadSize(t *ctypes.Type) int {
-	if t == nil {
-		return 8
-	}
-	s := t.Size()
-	switch s {
-	case 1, 2, 4, 8:
-		return s
-	default:
-		return 8
-	}
-}
-
-// extendDec widens a value of the extension mode e (see decodeExt) to a
-// register: integers narrower than 64 bits sign-extend, float32 becomes
-// float64.
-func extendDec(v uint64, e extKind) uint64 {
-	switch e {
-	case extS8:
-		return uint64(int64(int8(v)))
-	case extS16:
-		return uint64(int64(int16(v)))
-	case extS32:
-		return uint64(int64(int32(v)))
-	case extF32:
-		return math.Float64bits(float64(math.Float32frombits(uint32(v))))
-	}
-	return v
-}
-
-// narrowDec is extendDec's store-side twin: a float32 store narrows the
-// register's float64 to float32 bits. Integer stores need no narrowing;
-// the access width truncates them.
-func narrowDec(v uint64, e extKind) uint64 {
-	if e == extF32 {
-		return uint64(math.Float32bits(float32(math.Float64frombits(v))))
-	}
-	return v
-}
-
-func (m *Machine) binop(in *mir.Instr, a, b uint64, f *mir.Func) (uint64, error) {
-	switch in.BinSub {
-	case mir.Add:
-		return a + b, nil
-	case mir.Sub:
-		return a - b, nil
-	case mir.Mul:
-		return uint64(int64(a) * int64(b)), nil
-	case mir.Div:
-		if b == 0 {
-			return 0, m.trap(TrapDivideByZero, f, in, "division by zero")
-		}
-		return uint64(int64(a) / int64(b)), nil
-	case mir.Rem:
-		if b == 0 {
-			return 0, m.trap(TrapDivideByZero, f, in, "remainder by zero")
-		}
-		return uint64(int64(a) % int64(b)), nil
-	case mir.And:
-		return a & b, nil
-	case mir.Or:
-		return a | b, nil
-	case mir.Xor:
-		return a ^ b, nil
-	case mir.Shl:
-		return a << (b & 63), nil
-	case mir.Shr:
-		return uint64(int64(a) >> (b & 63)), nil
-	case mir.FAdd:
-		return fop(a, b, func(x, y float64) float64 { return x + y }), nil
-	case mir.FSub:
-		return fop(a, b, func(x, y float64) float64 { return x - y }), nil
-	case mir.FMul:
-		return fop(a, b, func(x, y float64) float64 { return x * y }), nil
-	case mir.FDiv:
-		return fop(a, b, func(x, y float64) float64 { return x / y }), nil
-	}
-	return 0, fmt.Errorf("vm: unknown binop %d", in.BinSub)
-}
-
-func fop(a, b uint64, f func(x, y float64) float64) uint64 {
-	return math.Float64bits(f(math.Float64frombits(a), math.Float64frombits(b)))
-}
-
-func cmp(sub mir.CmpSub, a, b uint64, operandTy *ctypes.Type) uint64 {
-	var r bool
-	if operandTy != nil && (operandTy.Kind == ctypes.Float || operandTy.Kind == ctypes.Double) {
-		x, y := math.Float64frombits(a), math.Float64frombits(b)
-		switch sub {
-		case mir.Eq:
-			r = x == y
-		case mir.Ne:
-			r = x != y
-		case mir.Lt:
-			r = x < y
-		case mir.Le:
-			r = x <= y
-		case mir.Gt:
-			r = x > y
-		case mir.Ge:
-			r = x >= y
-		}
-	} else {
-		x, y := int64(a), int64(b)
-		switch sub {
-		case mir.Eq:
-			r = x == y
-		case mir.Ne:
-			r = x != y
-		case mir.Lt:
-			r = x < y
-		case mir.Le:
-			r = x <= y
-		case mir.Gt:
-			r = x > y
-		case mir.Ge:
-			r = x >= y
-		}
-	}
-	if r {
-		return 1
-	}
-	return 0
-}
-
-func castValue(v uint64, from, to *ctypes.Type) uint64 {
-	if to == nil {
-		return v
-	}
-	fromFloat := from != nil && (from.Kind == ctypes.Float || from.Kind == ctypes.Double)
-	toFloat := to.Kind == ctypes.Float || to.Kind == ctypes.Double
-	switch {
-	case fromFloat && !toFloat:
-		return extendDec(uint64(int64(math.Float64frombits(v))), decodeExt(to))
-	case !fromFloat && toFloat:
-		return math.Float64bits(float64(int64(v)))
-	case fromFloat && toFloat:
-		return v
-	case to.IsInteger():
-		return extendDec(v, decodeExt(to))
-	default: // pointer casts and int<->pointer: bit-identical
-		return v
-	}
 }
