@@ -394,18 +394,25 @@ func (in *Instr) format(p *Program) string {
 	return in.Op.String()
 }
 
-// Verify checks structural invariants: every block terminated, branch
-// targets in range, register counts within MaxRegs and register indices
-// within NumRegs, every variable, global and string-literal index naming
-// an entry of its table, every field slot naming a field of a struct,
-// and no type containing itself by value. It returns the first
-// violation.
+// Verify checks structural invariants: every variable and global typed,
+// every block terminated and indexed by its position, every instruction
+// naming the register operands its opcode requires, branch targets in
+// range, register counts within MaxRegs and register indices within
+// NumRegs, every variable, global and string-literal index naming an
+// entry of its table, every field slot naming a field of a struct, and
+// no type containing itself by value. It returns the first violation.
 func (p *Program) Verify() error {
 	var types typeWalk
-	for _, v := range p.Vars {
+	for i, v := range p.Vars {
+		if v == nil || v.Type == nil {
+			return fmt.Errorf("mir: variable #%d has no type", i)
+		}
 		types.root(v.Type)
 	}
-	for _, g := range p.Globals {
+	for i, g := range p.Globals {
+		if g == nil || g.Type == nil {
+			return fmt.Errorf("mir: global #%d has no type", i)
+		}
 		types.root(g.Type)
 	}
 	for _, f := range p.Funcs {
@@ -427,7 +434,10 @@ func (p *Program) Verify() error {
 		if len(f.Blocks) == 0 {
 			return fmt.Errorf("mir: func %s has no blocks", f.Name)
 		}
-		for _, blk := range f.Blocks {
+		for bi, blk := range f.Blocks {
+			if blk.Index != bi {
+				return fmt.Errorf("mir: %s block %s at position %d has index %d", f.Name, blk.Name, bi, blk.Index)
+			}
 			if !blk.Terminated() {
 				return fmt.Errorf("mir: %s block %s not terminated", f.Name, blk.Name)
 			}
@@ -437,6 +447,10 @@ func (p *Program) Verify() error {
 					if r != NoReg && (r < 0 || r >= f.NumRegs) {
 						return fmt.Errorf("mir: %s %s#%d register r%d out of range", f.Name, blk.Name, i, r)
 					}
+				}
+				if want := operands(in); (want&needDst != 0 && in.Dst == NoReg) ||
+					(want&needA != 0 && in.A == NoReg) || (want&needB != 0 && in.B == NoReg) {
+					return fmt.Errorf("mir: %s %s#%d %s lacks a register operand", f.Name, blk.Name, i, in.Op)
 				}
 				for _, r := range in.Args {
 					if r < 0 || r >= f.NumRegs {
@@ -491,6 +505,36 @@ func (p *Program) Verify() error {
 		}
 	}
 	return types.check()
+}
+
+// Register operands an instruction must name (operands).
+const (
+	needDst = 1 << iota
+	needA
+	needB
+)
+
+// operands reports which of in's register operands must be present: the
+// ones its opcode defines or reads unconditionally. A call's result, a
+// return value and a PAC operation's location register are optional.
+func operands(in *Instr) int {
+	switch in.Op {
+	case Const, ConstF, StrConst, Alloca, GlobalAddr, FuncAddr:
+		return needDst
+	case Load, FieldAddr, CastOp, PacSign, PacAuth, PacStrip, PPAddTBI:
+		return needDst | needA
+	case IndexAddr, BinInstr, CmpInstr, PPSign, PPAuth:
+		return needDst | needA | needB
+	case Store:
+		return needA | needB
+	case Br:
+		return needA
+	case CallOp:
+		if in.Callee == "" {
+			return needA
+		}
+	}
+	return 0
 }
 
 // typeWalk finds a type that contains itself by value: a struct with a

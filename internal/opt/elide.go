@@ -31,10 +31,11 @@ func ElidableVars(prog *mir.Program, an *sti.Analysis) []bool {
 			info.Type != nil && info.Type.IsPointer() && info.Type.PointerDepth() < 2 &&
 			v < len(an.AddrTakenVars) && !an.AddrTakenVars[v]
 	}
+	s := &staleScratch{bit: make([]int32, len(prog.Vars))}
 	for _, fn := range prog.Funcs {
 		if !fn.Extern {
 			disqualifyTagged(fn, an, elide)
-			disqualifyStale(fn, elide)
+			disqualifyStale(fn, elide, s)
 		}
 	}
 	return elide
@@ -76,108 +77,141 @@ func disqualifyTagged(fn *mir.Func, an *sti.Analysis, elide []bool) {
 // point where it is not definitely freshly stored since the last call.
 // Forward dataflow over the set of freshly-stored variables: stores to a
 // named slot add it, calls clear everything (the attack window), and the
-// meet over block predecessors is intersection.
-func disqualifyStale(fn *mir.Func, elide []bool) {
-	n := len(fn.Blocks)
-	preds := make([][]int, n)
+// meet over block predecessors is intersection. A variable's freshness
+// never depends on another's, so the sets range only over the candidates
+// fn loads, as bitsets: one gen set per block, and a block with a call
+// forgets its entry set.
+func disqualifyStale(fn *mir.Func, elide []bool, s *staleScratch) {
+	// Number the candidates fn loads; bit[v] is a variable's bit plus one.
+	vars := s.vars[:0]
 	for _, blk := range fn.Blocks {
-		if len(blk.Instrs) == 0 {
-			continue
+		for i := range blk.Instrs {
+			in := &blk.Instrs[i]
+			if v := in.Slot.Var; in.Op == mir.Load && in.Slot.Kind == mir.SlotVar &&
+				v >= 0 && v < len(elide) && elide[v] && s.bit[v] == 0 {
+				vars = append(vars, int32(v))
+				s.bit[v] = int32(len(vars))
+			}
 		}
-		t := &blk.Instrs[len(blk.Instrs)-1]
-		switch t.Op {
-		case mir.Jmp:
-			preds[t.Targets[0]] = append(preds[t.Targets[0]], blk.Index)
-		case mir.Br:
-			preds[t.Targets[0]] = append(preds[t.Targets[0]], blk.Index)
-			preds[t.Targets[1]] = append(preds[t.Targets[1]], blk.Index)
+	}
+	s.vars = vars
+	if len(vars) == 0 {
+		return
+	}
+	bitOf := func(in *mir.Instr) int32 {
+		if v := in.Slot.Var; in.Slot.Kind == mir.SlotVar && v >= 0 && v < len(s.bit) {
+			return s.bit[v] - 1
+		}
+		return -1
+	}
+
+	n, w := len(fn.Blocks), (len(vars)+63)/64
+	s.cfg.build(fn)
+	s.gen = resize(s.gen, n*w)
+	s.out = resize(s.out, n*w)
+	s.call = resize(s.call, n)
+	s.done = resize(s.done, n)
+	clear(s.gen)
+	clear(s.call)
+	clear(s.done)
+	for bi, blk := range fn.Blocks {
+		gen := s.gen[bi*w : (bi+1)*w]
+		for i := range blk.Instrs {
+			switch in := &blk.Instrs[i]; in.Op {
+			case mir.Store:
+				if b := bitOf(in); b >= 0 {
+					gen.set(b)
+				}
+			case mir.CallOp:
+				clear(gen)
+				s.call[bi] = true
+			}
 		}
 	}
 
-	// out[b] is the set of definitely-fresh vars at block exit; nil means
-	// "not yet computed" (⊤ for the intersection meet). The entry block
-	// starts empty: function entry follows a call, so nothing is fresh.
-	out := make([]map[int]bool, n)
-	blockIn := func(bi int) map[int]bool {
+	// blockIn loads block bi's entry set into cur. The entry block starts
+	// empty: function entry follows a call, so nothing is fresh. Inside
+	// the fixpoint (top) a block none of whose predecessors is computed
+	// yet is still ⊤ and reports false; the set of computed
+	// predecessors only grows and every exit set only shrinks, so the
+	// iteration terminates at the greatest fixpoint.
+	cur := bitset(resize(s.cur, w))
+	s.cur = cur
+	blockIn := func(bi int, top bool) bool {
+		clear(cur)
 		if bi == 0 {
-			return map[int]bool{}
+			return true
 		}
-		var in map[int]bool
 		seeded := false
-		for _, p := range preds[bi] {
-			if out[p] == nil {
-				continue // unknown predecessor: optimistic, refined later
+		preds := s.cfg.of(bi)
+		for _, q := range preds {
+			if !s.done[q] {
+				continue
 			}
+			o := s.out[int(q)*w : (int(q)+1)*w]
 			if !seeded {
-				in = make(map[int]bool, len(out[p]))
-				for v := range out[p] {
-					in[v] = true
-				}
+				copy(cur, o)
 				seeded = true
 				continue
 			}
-			for v := range in {
-				if !out[p][v] {
-					delete(in, v)
-				}
-			}
+			cur.and(o)
 		}
-		if !seeded {
-			return map[int]bool{}
-		}
-		return in
+		return seeded || !top || len(preds) == 0
 	}
-	transfer := func(state map[int]bool, in *mir.Instr) {
-		switch in.Op {
-		case mir.Store:
-			if in.Slot.Kind == mir.SlotVar {
-				state[in.Slot.Var] = true
-			}
-		case mir.CallOp:
-			for v := range state {
-				delete(state, v)
-			}
-		}
-	}
-
 	for changed := true; changed; {
 		changed = false
 		for bi := 0; bi < n; bi++ {
-			state := blockIn(bi)
-			for ii := range fn.Blocks[bi].Instrs {
-				transfer(state, &fn.Blocks[bi].Instrs[ii])
+			if !blockIn(bi, true) {
+				continue
 			}
-			if !sameSet(out[bi], state) {
-				out[bi] = state
-				changed = true
+			gen, o := s.gen[bi*w:(bi+1)*w], s.out[bi*w:(bi+1)*w]
+			same := s.done[bi]
+			for j := range o {
+				x := gen[j]
+				if !s.call[bi] {
+					x |= cur[j]
+				}
+				if o[j] != x {
+					o[j], same = x, false
+				}
+			}
+			if !same {
+				s.done[bi], changed = true, true
 			}
 		}
 	}
 
 	// Verification walk: replay each block from its fixpoint entry state
 	// and disqualify any candidate loaded while stale.
-	for bi := 0; bi < n; bi++ {
-		state := blockIn(bi)
-		for ii := range fn.Blocks[bi].Instrs {
-			in := &fn.Blocks[bi].Instrs[ii]
-			if in.Op == mir.Load && in.Slot.Kind == mir.SlotVar {
-				if v := in.Slot.Var; v >= 0 && v < len(elide) && elide[v] && !state[v] {
-					elide[v] = false
+	for bi, blk := range fn.Blocks {
+		blockIn(bi, false)
+		for i := range blk.Instrs {
+			switch in := &blk.Instrs[i]; in.Op {
+			case mir.Load:
+				if b := bitOf(in); b >= 0 && !cur.has(b) {
+					elide[in.Slot.Var] = false
 				}
+			case mir.Store:
+				if b := bitOf(in); b >= 0 {
+					cur.set(b)
+				}
+			case mir.CallOp:
+				clear(cur)
 			}
-			transfer(state, in)
 		}
+	}
+	for _, v := range vars {
+		s.bit[v] = 0
 	}
 }
 
-func sameSet(a, b map[int]bool) bool {
-	if a == nil || len(a) != len(b) {
-		return a == nil && b == nil
-	}
-	for v := range a {
-		if !b[v] {
-			return false
-		}
-	}
-	return true
+// staleScratch is disqualifyStale's scratch, reused across functions.
+type staleScratch struct {
+	bit      []int32 // VarInfo index -> candidate bit + 1; zero between functions
+	vars     []int32
+	cfg      cfg
+	gen, out bitset
+	cur      bitset
+	call     []bool
+	done     []bool
 }

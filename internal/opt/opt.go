@@ -65,18 +65,15 @@ type Stats struct {
 	RedundantAuths int
 	// ForwardedLoads is how many of those deletions were enabled by
 	// store-to-load forwarding through a non-address-taken slot (the
-	// sign → store → load → auth chain).
+	// sign → store → load → auth chain). Attribution follows the path the
+	// dataflow took: a deletion counts when the fact that justified it was
+	// last set by a forwarded load, and a block inherits that flag from
+	// its first computed predecessor (in predecessor order) as of the
+	// round in which that predecessor's facts last changed.
 	ForwardedLoads int
 	// SkippedFuncs counts functions the pass refused to touch because a
-	// structural invariant it relies on (textually single-assignment
-	// registers) did not hold. Zero in practice; defensive.
+	// structural invariant it relies on did not hold: textually
+	// single-assignment registers, numbered densely enough to index.
+	// Zero for every lowered program; defensive.
 	SkippedFuncs int
-}
-
-// add accumulates o into s.
-func (s *Stats) add(o *Stats) {
-	s.ElidableVars += o.ElidableVars
-	s.RedundantAuths += o.RedundantAuths
-	s.ForwardedLoads += o.ForwardedLoads
-	s.SkippedFuncs += o.SkippedFuncs
 }

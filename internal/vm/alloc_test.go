@@ -2,9 +2,11 @@ package vm
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"rsti/internal/cminor"
+	"rsti/internal/ctypes"
 	"rsti/internal/lower"
 	"rsti/internal/mir"
 	"rsti/internal/rsti"
@@ -507,5 +509,56 @@ func BenchmarkSteadyStateRun(b *testing.B) {
 		if _, err := m.Run(); err != nil {
 			b.Fatalf("run: %v", err)
 		}
+	}
+}
+
+// deepSrc recurses 400 calls deep through a function with a handful of
+// registers.
+const deepSrc = `
+long down(long n) {
+	if (n == 0) return 0;
+	return down(n - 1) + 1;
+}
+int main(void) { return (int)(down(400) & 255); }
+`
+
+// TestFrameSizedByCallee pins that a frame's register file costs what
+// its function uses: a never-called function declaring 20,005 registers
+// must not widen the 400 frames of a deep recursion through a small
+// function. A run's heap allocation stays within 1 MB of the same
+// program without the wide function.
+func TestFrameSizedByCallee(t *testing.T) {
+	runAlloc := func(prog *mir.Program) uint64 {
+		opts := DefaultOptions()
+		opts.Image = NewImage(prog)
+		m := New(prog, opts)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		exit, err := m.Run()
+		runtime.ReadMemStats(&after)
+		if err != nil || exit != 400&255 {
+			t.Fatalf("run = %d, %v; want %d", exit, err, 400&255)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	plain := instrumentedProg(t, deepSrc, sti.STWC)
+	wide := instrumentedProg(t, deepSrc, sti.STWC)
+	big := &mir.Func{Name: "wide", Ret: ctypes.LongType, NumRegs: 20005}
+	big.NewBlock("entry").Instrs = []mir.Instr{
+		{Op: mir.Const, Dst: 20004, A: mir.NoReg, B: mir.NoReg, Ty: ctypes.LongType},
+		{Op: mir.RetOp, Dst: mir.NoReg, A: 20004, B: mir.NoReg},
+	}
+	wide.Funcs = append(wide.Funcs, big)
+	wide.ByName[big.Name] = big
+	if err := wide.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if n := plain.ByName["down"].NumRegs; n > 16 {
+		t.Fatalf("down declares %d registers; the test wants a small recursive function", n)
+	}
+	base, got := runAlloc(plain), runAlloc(wide)
+	t.Logf("run allocation: %d B without the wide function, %d B with it", base, got)
+	if got > base+1<<20 {
+		t.Fatalf("a never-called 20,005-register function adds %d B to a run, want at most 1 MB", got-base)
 	}
 }

@@ -38,12 +38,6 @@ type Image struct {
 	gseg       int // globals segment size, see dataLayout
 	sseg       int // strings segment size
 
-	// maxRegs is the widest register file any function of the program
-	// needs — the frame pool's sizing watermark: register slices are
-	// allocated at this capacity once, so re-preparing a pooled frame for
-	// any callee never reallocates.
-	maxRegs int
-
 	// sites is the number of monomorphic access-cache slots, one per
 	// load and store; each Machine carries a sites-long table of
 	// last-resolved memory segments.
@@ -60,7 +54,7 @@ func NewImage(prog *mir.Program) *Image {
 	img := &Image{prog: prog, funcs: make([]funcCode, len(prog.Funcs))}
 	img.globalAddr, img.stringAddr, img.gseg, img.sseg = dataLayout(prog)
 
-	// Pass 1: size the arenas, take the register watermark and index
+	// Pass 1: size the arenas, check register counts and index
 	// functions by name (the last of a name wins).
 	index := make(map[string]int32, len(prog.Funcs))
 	nCode, nBlocks := 0, 0
@@ -72,7 +66,6 @@ func NewImage(prog *mir.Program) *Image {
 		if f.NumRegs > mir.MaxRegs {
 			panic(fmt.Sprintf("vm: %s needs %d registers, over mir.MaxRegs", f.Name, f.NumRegs))
 		}
-		img.maxRegs = max(img.maxRegs, f.NumRegs)
 		nCode += codeLen(f)
 		nBlocks += len(f.Blocks)
 	}
@@ -152,9 +145,6 @@ func CheckDataLayout(prog *mir.Program) error {
 
 // Prog returns the program the image was built from.
 func (img *Image) Prog() *mir.Program { return img.prog }
-
-// MaxRegs returns the register-file watermark frame pools size from.
-func (img *Image) MaxRegs() int { return img.maxRegs }
 
 // FusedPairs reports the static number of adjacent aut+load and pac+store
 // pairs marked for fused dispatch (the original two-instruction

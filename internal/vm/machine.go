@@ -332,19 +332,19 @@ func (m *Machine) resolve(ptr, site, n uint64, write bool, fc *funcCode, pc int)
 // getFrame takes a frame from the pool (or allocates one) and prepares it
 // for fc: registers zeroed and sized, local-variable list emptied.
 //
-// Register files are sized from the image's max-regs watermark, not the
-// callee's register count: one frame allocation covers every function of
-// the program, so steady-state frame reuse never reallocates regardless
-// of which callee draws the frame. The watermark check still guards the
-// pooled path — a WorkerState outlives one machine and may carry frames
-// sized by a smaller program's image.
+// A register file is sized by the callee that draws it and grows only
+// when a wider callee draws it later, so a frame costs what its function
+// uses, not what the widest function of the program declares. The pool
+// is LIFO and a run's call sequence is deterministic, so after one run
+// every pooled frame is wide enough for each callee it serves at its
+// depth and steady-state reuse never reallocates.
 func (m *Machine) getFrame(fc *funcCode) *frame {
 	n := int(fc.nregs)
 	if k := len(m.ws.frames); k > 0 {
 		fr := m.ws.frames[k-1]
 		m.ws.frames = m.ws.frames[:k-1]
 		if cap(fr.regs) < n {
-			fr.regs = make([]uint64, max(m.img.maxRegs, n))[:n]
+			fr.regs = make([]uint64, n)
 		} else {
 			fr.regs = fr.regs[:n]
 			clear(fr.regs)
@@ -354,11 +354,7 @@ func (m *Machine) getFrame(fc *funcCode) *frame {
 		fr.mark = m.stackNext
 		return fr
 	}
-	return &frame{
-		fc:   fc,
-		regs: make([]uint64, max(m.img.maxRegs, n))[:n],
-		mark: m.stackNext,
-	}
+	return &frame{fc: fc, regs: make([]uint64, n), mark: m.stackNext}
 }
 
 // RegisterHook installs an attack callback for __hook(id).
