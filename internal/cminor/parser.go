@@ -3,6 +3,7 @@ package cminor
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"rsti/internal/ctypes"
 )
@@ -21,24 +22,34 @@ type Parser struct {
 	file     *File
 }
 
+// tokenPool holds token buffers for Parse: the token stream is scratch
+// (the AST copies what it keeps out of each token), so it is lexed into a
+// reused buffer instead of a slice grown per call. A buffer goes back
+// empty and cleared, since token text would pin the source.
+var tokenPool = sync.Pool{New: func() any { return new([]Token) }}
+
 // Parse lexes and parses src into a File. The result is not yet checked;
 // call Check (or use Frontend) to resolve names and types.
 func Parse(src string) (*File, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
+	buf := tokenPool.Get().(*[]Token)
+	toks, err := lexInto((*buf)[:0], src)
+	var f *File
+	if err == nil {
+		p := &Parser{
+			toks:     toks,
+			types:    ctypes.NewTable(),
+			typedefs: make(map[string]*ctypes.Type),
+			enums:    make(map[string]int64),
+		}
+		p.file = &File{Types: p.types, Typedefs: p.typedefs, Enums: p.enums}
+		if err = p.parseFile(); err == nil {
+			f = p.file
+		}
 	}
-	p := &Parser{
-		toks:     toks,
-		types:    ctypes.NewTable(),
-		typedefs: make(map[string]*ctypes.Type),
-		enums:    make(map[string]int64),
-	}
-	p.file = &File{Types: p.types, Typedefs: p.typedefs, Enums: p.enums}
-	if err := p.parseFile(); err != nil {
-		return nil, err
-	}
-	return p.file, nil
+	clear(toks)
+	*buf = toks[:0]
+	tokenPool.Put(buf)
+	return f, err
 }
 
 // Frontend parses and checks src, returning a fully typed File.

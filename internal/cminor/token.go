@@ -214,12 +214,21 @@ func NewLexer(src string) *Lexer {
 
 // Lex tokenizes the whole input.
 func Lex(src string) ([]Token, error) {
+	toks, err := lexInto(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// lexInto appends src's tokens to toks. On an error it returns what it
+// appended so far, so a caller lending a reused buffer gets it back.
+func lexInto(toks []Token, src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return toks, err
 		}
 		toks = append(toks, t)
 		if t.Kind == EOF {

@@ -33,11 +33,16 @@ import (
 // artifact. The codec is deterministic, so two encodes of the same
 // source produce byte-identical artifacts.
 func EncodeArtifact(comp *core.Compilation) ([]byte, error) {
-	raw := mir.AppendProgram(make([]byte, 40), comp.Prog) // header filled in below
+	return appendArtifact(nil, comp), nil
+}
+
+// appendArtifact appends comp's artifact to dst.
+func appendArtifact(dst []byte, comp *core.Compilation) []byte {
+	raw := mir.AppendProgram(append(dst, make([]byte, 40)...), comp.Prog) // header filled in below
 	sum := sha256.Sum256(raw[40:])
 	copy(raw, artifactMagic[:])
 	copy(raw[8:], sum[:])
-	return raw, nil
+	return raw
 }
 
 // decodeArtifact reconstitutes a compilation from artifact bytes. Any

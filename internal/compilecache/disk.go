@@ -23,6 +23,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"rsti/internal/core"
 )
@@ -82,16 +83,18 @@ func (c *Cache) loadDisk(k key) (*core.Compilation, bool) {
 	return comp, err == nil
 }
 
+// encodeBufs holds storeDisk's encode buffers: the artifact bytes are
+// dropped once writeArtifact has written them.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // storeDisk encodes comp and writes its artifact. Failures are counted,
 // not returned: persistence is an optimization, and the in-memory entry
 // the caller just inserted already serves this process.
 func (c *Cache) storeDisk(k key, comp *core.Compilation) {
-	buf, err := EncodeArtifact(comp)
-	if err != nil {
-		c.diskError()
-		return
-	}
-	c.writeArtifact(k, buf)
+	buf := encodeBufs.Get().(*[]byte)
+	*buf = appendArtifact((*buf)[:0], comp)
+	c.writeArtifact(k, *buf)
+	encodeBufs.Put(buf)
 }
 
 // writeArtifact lands pre-encoded artifact bytes (a fresh local encode or

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"rsti/internal/mir"
 	"rsti/internal/sti"
 )
 
@@ -123,4 +124,62 @@ func TestBuildAllMatchesBuild(t *testing.T) {
 	if n := c.InstrumentCalls(); n != int64(len(mechs)) {
 		t.Errorf("instrumentation ran %d times, want %d", n, len(mechs))
 	}
+}
+
+// TestConcurrentCompilesShareScratch runs whole compilations of distinct
+// programs from several goroutines at once, interleaved with sources
+// that fail to parse or to type-check, and checks every lowered program
+// and STWC build against a serial compilation of the same source. The
+// lexer, lowering, instrumentation and codec scratch is pooled process
+// wide, so a scratch handed to two users at once, or handed back dirty
+// after a failed compile, shows up here as a differing program.
+func TestConcurrentCompilesShareScratch(t *testing.T) {
+	srcs := []string{hammerSrc, perfbenchShaped(0), perfbenchShaped(1), perfbenchShaped(13)}
+	bad := []string{"int main(void { return 0; }", "int main(void) { return undeclared; }"}
+	encode := func(c *Compilation) (lowered, built string, err error) {
+		b, err := c.BuildMode(sti.STWC, false)
+		if err != nil {
+			return "", "", err
+		}
+		return string(mir.AppendProgram(nil, c.Prog)), string(mir.AppendProgram(nil, b.Prog)), nil
+	}
+	wantLowered := make([]string, len(srcs))
+	wantBuilt := make([]string, len(srcs))
+	for i, src := range srcs {
+		c, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantLowered[i], wantBuilt[i], err = encode(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines, rounds = 4, 6
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if _, err := Compile(bad[(g+r)%len(bad)]); err == nil {
+					t.Errorf("goroutine %d: a bad source compiled", g)
+				}
+				i := (g + r) % len(srcs)
+				c, err := Compile(srcs[i])
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				lowered, built, err := encode(c)
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				if lowered != wantLowered[i] || built != wantBuilt[i] {
+					t.Errorf("goroutine %d round %d: source %d compiled differently from its serial compile", g, r, i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

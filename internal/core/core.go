@@ -39,11 +39,13 @@ type Compilation struct {
 	mu     sync.Mutex // guards the builds map, not the builds themselves
 	builds map[buildKey]*buildCell
 
-	// The optimizer's elidable-variable set is a property of the program,
-	// not of any mechanism; compute it once and share it across every
+	// The optimizer's elidable-variable set, and the value-flow couplings
+	// its per-mechanism refinement checks, are properties of the program,
+	// not of any mechanism; compute them once and share them across every
 	// optimized build.
 	elideOnce sync.Once
 	elide     []bool
+	couplings *opt.Couplings
 
 	instrumentCalls atomic.Int64
 }
@@ -197,10 +199,14 @@ func FromProgram(prog *mir.Program) (*Compilation, error) {
 	}, nil
 }
 
-// elideSet returns the program's elidable-variable set, computed once.
-func (c *Compilation) elideSet() []bool {
-	c.elideOnce.Do(func() { c.elide = opt.ElidableVars(c.Prog, c.Analysis) })
-	return c.elide
+// elideSet returns the program's elidable-variable set, refined for mech.
+// The base set and the couplings are computed once per compilation.
+func (c *Compilation) elideSet(mech sti.Mechanism) []bool {
+	c.elideOnce.Do(func() {
+		c.elide = opt.ElidableVars(c.Prog, c.Analysis)
+		c.couplings = opt.CollectCouplings(c.Prog)
+	})
+	return c.couplings.Refine(c.Analysis, c.elide, mech)
 }
 
 // cell returns the build key's once-cell, creating it on first request.
@@ -231,7 +237,9 @@ func (c *Compilation) Build(mech sti.Mechanism) (*Build, error) {
 // calls for different keys never block each other. An optimized build
 // applies the PAC elision set during instrumentation and the
 // redundant-authentication pass after it. The baseline (sti.None) has no
-// PAC traffic, so its optimized build is the unoptimized one.
+// PAC traffic, so its optimized build is the unoptimized one, and it runs
+// the compilation's own program: nothing rewrites a build that is neither
+// instrumented nor optimized.
 func (c *Compilation) BuildMode(mech sti.Mechanism, optimized bool) (*Build, error) {
 	if mech == sti.None {
 		optimized = false
@@ -239,12 +247,16 @@ func (c *Compilation) BuildMode(mech sti.Mechanism, optimized bool) (*Build, err
 	cl := c.cell(buildKey{mech: mech, optimized: optimized})
 	cl.once.Do(func() {
 		c.instrumentCalls.Add(1)
+		if mech == sti.None {
+			cl.b = &Build{Mechanism: mech, Prog: c.Prog, Stats: &rsti.Stats{}}
+			return
+		}
 		opts := rsti.Options{}
 		if optimized {
 			// The base candidate set is mechanism-independent; the coupling
 			// refinement drops candidates whose elision would insert
 			// boundary sign/auth ops under this mechanism's class merging.
-			opts.Elide = opt.RefineElide(c.Prog, c.Analysis, c.elideSet(), mech)
+			opts.Elide = c.elideSet(mech)
 		}
 		prog, stats, err := rsti.InstrumentWithOptions(c.Prog, c.Analysis, mech, opts)
 		if err != nil {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"rsti/internal/mir"
 	"rsti/internal/sti"
 	"rsti/internal/vm"
 )
@@ -194,6 +198,52 @@ func TestFunctionPastSixteenBitRegisters(t *testing.T) {
 		}
 		if r.Err != nil || r.Exit != n%251 {
 			t.Errorf("%s: exit %d, err %v; want exit %d", mech, r.Exit, r.Err, n%251)
+		}
+	}
+}
+
+// TestNoneBuildSharesProgram: the baseline build inserts nothing and is
+// never optimized, so nothing rewrites it. It runs the compilation's own
+// program rather than a copy, leaves that program untouched, and runs
+// exactly as a separate copy of the program does.
+func TestNoneBuildSharesProgram(t *testing.T) {
+	for _, name := range []string{"demo.c", "victim.c", "doubleptr.c"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := mir.AppendProgram(nil, c.Prog)
+		for _, optimized := range []bool{false, true} {
+			b, err := c.BuildMode(sti.None, optimized)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Prog != c.Prog {
+				t.Errorf("%s: None build (optimized %v) runs a copy of the compilation's program", name, optimized)
+			}
+		}
+		ref, err := FromProgram(c.Prog.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Run(sti.None, RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Run(sti.None, RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Exit != want.Exit || got.Stats != want.Stats || got.Output != want.Output || (got.Err == nil) != (want.Err == nil) {
+			t.Errorf("%s: shared None run %d %+v %q, copy's %d %+v %q",
+				name, got.Exit, got.Stats, got.Output, want.Exit, want.Stats, want.Output)
+		}
+		if !bytes.Equal(mir.AppendProgram(nil, c.Prog), before) {
+			t.Errorf("%s: running the None build changed the compilation's program", name)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func LowerWithOptions(f *cminor.File, opts Options) (*mir.Program, error) {
 	}
 
 	// Synthetic __init runs global initializers before main.
-	initLw := &lowerer{prog: p, file: f}
+	initLw := &lowerer{prog: p, file: f, s: getScratch()}
 	initFn := &mir.Func{Name: mir.InitFuncName, Ret: ctypes.VoidType}
 	p.Funcs = append(p.Funcs, initFn)
 	p.ByName[initFn.Name] = initFn
@@ -68,6 +68,7 @@ func LowerWithOptions(f *cminor.File, opts Options) (*mir.Program, error) {
 	}
 	initLw.emit(mir.Instr{Op: mir.RetOp, A: mir.NoReg})
 	initLw.endFunc()
+	scratchPool.Put(initLw.s)
 	if initLw.err != nil {
 		return nil, initLw.err
 	}
@@ -92,7 +93,8 @@ func LowerWithOptions(f *cminor.File, opts Options) (*mir.Program, error) {
 	// program-level mutable state a body touches is the string pool,
 	// which each lowerer keeps locally — so they fan out across a
 	// bounded worker set. Funcs and ByName are fully built above and
-	// only read from here on.
+	// only read from here on. Each worker borrows one pooled scratch
+	// for all the bodies it lowers.
 	type unit struct {
 		fn *cminor.FuncDecl
 		lw *lowerer
@@ -110,14 +112,23 @@ func LowerWithOptions(f *cminor.File, opts Options) (*mir.Program, error) {
 	if workers > len(units) {
 		workers = len(units)
 	}
-	lowerOne := func(u unit) error {
-		return u.lw.lowerFunc(u.fn, p.ByName[u.fn.Name])
+	lowerOne := func(s *scratch, u unit) error {
+		u.lw.s = s
+		err := u.lw.lowerFunc(u.fn, p.ByName[u.fn.Name])
+		u.lw.s = nil
+		return err
 	}
+	// A scratch goes back to the pool only after a normal return: endFunc
+	// leaves it empty, while a body that panicked midway would not.
 	if workers <= 1 {
-		for _, u := range units {
-			if err := lowerOne(u); err != nil {
-				return nil, err
-			}
+		s := getScratch()
+		var err error
+		for i := 0; i < len(units) && err == nil; i++ {
+			err = lowerOne(s, units[i])
+		}
+		scratchPool.Put(s)
+		if err != nil {
+			return nil, err
 		}
 	} else {
 		errs := make([]error, len(units))
@@ -127,13 +138,11 @@ func LowerWithOptions(f *cminor.File, opts Options) (*mir.Program, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(units) {
-						return
-					}
-					errs[i] = lowerOne(units[i])
+				s := getScratch()
+				for i := int(next.Add(1)) - 1; i < len(units); i = int(next.Add(1)) - 1 {
+					errs[i] = lowerOne(s, units[i])
 				}
+				scratchPool.Put(s)
 			}()
 		}
 		wg.Wait()
@@ -186,12 +195,11 @@ type lowerer struct {
 	file *cminor.File
 
 	fn      *mir.Func
-	cur     *mir.Block
+	cur     int // index of the block being filled
 	nextReg int
-	slots   map[int]mir.Reg // VarSym.ID -> register holding the slot address
 	loops   []loopCtx
-	allocas []mir.Instr // hoisted to the entry block at endFunc
 	err     error
+	s       *scratch // borrowed for the function being lowered
 
 	// Function-local string pool. StrConst Imm values index this pool
 	// until mergeStrings rewrites them to program-pool indices; keeping
@@ -199,6 +207,30 @@ type lowerer struct {
 	strs   []string
 	strMap map[string]int
 }
+
+// scratch is one lowering worker's reusable emission storage. A body
+// fills each block in one uninterrupted run, so every block is a span of
+// one accumulator, in the order the blocks were filled; endFunc copies
+// the hoisted allocas, then the spans in block order, into one exact-size
+// arena per function. A scratch lives in scratchPool across calls, so
+// steady-state lowering allocates only what the program keeps, and it
+// holds no more than the largest function it has lowered. Between
+// functions it is empty and cleared: mir.Instr holds type pointers, and
+// a pooled buffer must never pin a dead program.
+type scratch struct {
+	out     []mir.Instr     // the blocks' runs, in the order they were filled
+	spans   []span          // per block index: its run of out
+	allocas []mir.Instr     // hoisted to the entry block at endFunc
+	slots   map[int]mir.Reg // VarSym.ID -> register holding the slot address
+}
+
+// span is one block's run of scratch.out; start is -1 until the block is
+// filled.
+type span struct{ start, end int }
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{slots: make(map[int]mir.Reg)} }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func (lw *lowerer) addString(s string) int {
 	if i, ok := lw.strMap[s]; ok {
@@ -218,33 +250,35 @@ func (lw *lowerer) addString(s string) int {
 func (lw *lowerer) emitAlloca(in mir.Instr) mir.Reg {
 	in.Dst = lw.reg()
 	in.A, in.B = mir.NoReg, mir.NoReg
-	lw.allocas = append(lw.allocas, in)
+	lw.s.allocas = append(lw.s.allocas, in)
 	return in.Dst
 }
 
 func (lw *lowerer) beginFunc(f *mir.Func, params []*cminor.Param) {
 	lw.fn = f
 	lw.nextReg = len(params)
-	lw.slots = make(map[int]mir.Reg)
 	lw.loops = nil
-	lw.allocas = nil
-	lw.cur = f.NewBlock("entry")
+	lw.cur = -1
+	lw.setBlock(lw.newBlock("entry"))
 	for i, prm := range params {
 		if prm.Sym == nil {
 			continue
 		}
 		slot := lw.emitAlloca(mir.Instr{Op: mir.Alloca, Ty: prm.Type, Pos: prm.Pos,
 			Slot: mir.Slot{Kind: mir.SlotVar, Var: prm.Sym.ID}})
-		lw.slots[prm.Sym.ID] = slot
+		lw.s.slots[prm.Sym.ID] = slot
 		lw.emit(mir.Instr{Op: mir.Store, A: slot, B: i, Ty: prm.Type, Pos: prm.Pos,
 			Slot: mir.Slot{Kind: mir.SlotVar, Var: prm.Sym.ID}})
 	}
 }
 
+// endFunc terminates the last block, then copies the function into one
+// exact-size arena: the allocas at the head of the entry block, then
+// every block's span, each block a capacity-capped subslice so no
+// block's append can bleed into its neighbour. It leaves the scratch
+// empty and cleared for the next function.
 func (lw *lowerer) endFunc() {
-	entry := lw.fn.Blocks[0]
-	entry.Instrs = append(append([]mir.Instr(nil), lw.allocas...), entry.Instrs...)
-	if !lw.cur.Terminated() {
+	if !lw.terminated() {
 		if lw.fn.Ret.Kind == ctypes.Void {
 			lw.emit(mir.Instr{Op: mir.RetOp, A: mir.NoReg})
 		} else {
@@ -252,6 +286,24 @@ func (lw *lowerer) endFunc() {
 			lw.emit(mir.Instr{Op: mir.RetOp, A: z})
 		}
 	}
+	s := lw.s
+	s.spans[lw.cur].end = len(s.out)
+	arena := make([]mir.Instr, len(s.allocas)+len(s.out))
+	off := copy(arena, s.allocas)
+	start := 0
+	for i, sp := range s.spans {
+		if sp.start >= 0 {
+			off += copy(arena[off:], s.out[sp.start:sp.end])
+		}
+		if off > start {
+			lw.fn.Blocks[i].Instrs = arena[start:off:off]
+		}
+		start = off
+	}
+	clear(s.out)
+	clear(s.allocas)
+	clear(s.slots)
+	s.out, s.spans, s.allocas = s.out[:0], s.spans[:0], s.allocas[:0]
 	lw.fn.NumRegs = lw.nextReg
 }
 
@@ -297,7 +349,7 @@ func (lw *lowerer) emit(in mir.Instr) {
 			in.B = mir.NoReg
 		}
 	}
-	lw.cur.Instrs = append(lw.cur.Instrs, in)
+	lw.s.out = append(lw.s.out, in)
 }
 
 func (lw *lowerer) emitDst(in mir.Instr) mir.Reg {
@@ -306,18 +358,42 @@ func (lw *lowerer) emitDst(in mir.Instr) mir.Reg {
 	return in.Dst
 }
 
-func (lw *lowerer) newBlock(name string) *mir.Block { return lw.fn.NewBlock(name) }
+// newBlock appends a fresh, not yet filled block to the function.
+func (lw *lowerer) newBlock(name string) *mir.Block {
+	lw.s.spans = append(lw.s.spans, span{start: -1})
+	return lw.fn.NewBlock(name)
+}
 
-func (lw *lowerer) setBlock(b *mir.Block) { lw.cur = b }
+// setBlock ends the current block's run and starts filling b. A block is
+// filled in one run: the lowering never returns to a block it has left,
+// and endFunc's copy depends on that.
+func (lw *lowerer) setBlock(b *mir.Block) {
+	s := lw.s
+	if lw.cur >= 0 {
+		s.spans[lw.cur].end = len(s.out)
+	}
+	if s.spans[b.Index].start >= 0 {
+		panic(fmt.Sprintf("lower: %s returns to block %d", lw.fn.Name, b.Index))
+	}
+	s.spans[b.Index].start = len(s.out)
+	lw.cur = b.Index
+}
+
+// terminated reports whether the block being filled already ends in a
+// terminator.
+func (lw *lowerer) terminated() bool {
+	b := mir.Block{Instrs: lw.s.out[lw.s.spans[lw.cur].start:]}
+	return b.Terminated()
+}
 
 func (lw *lowerer) jump(to *mir.Block) {
-	if !lw.cur.Terminated() {
+	if !lw.terminated() {
 		lw.emit(mir.Instr{Op: mir.Jmp, Dst: mir.NoReg, A: mir.NoReg, B: mir.NoReg, Targets: [2]int{to.Index}})
 	}
 }
 
 func (lw *lowerer) branch(cond mir.Reg, t, f *mir.Block) {
-	if !lw.cur.Terminated() {
+	if !lw.terminated() {
 		lw.emit(mir.Instr{Op: mir.Br, Dst: mir.NoReg, A: cond, B: mir.NoReg, Targets: [2]int{t.Index, f.Index}})
 	}
 }
@@ -342,7 +418,7 @@ func (lw *lowerer) stmt(s cminor.Stmt) {
 		d := st.Decl
 		slot := lw.emitAlloca(mir.Instr{Op: mir.Alloca, Ty: d.Type, Pos: d.Pos,
 			Slot: mir.Slot{Kind: mir.SlotVar, Var: d.Sym.ID}})
-		lw.slots[d.Sym.ID] = slot
+		lw.s.slots[d.Sym.ID] = slot
 		if d.Init != nil {
 			v := lw.expr(d.Init)
 			lw.emit(mir.Instr{Op: mir.Store, A: slot, B: v, Ty: d.Type, Pos: d.Pos,
@@ -548,7 +624,7 @@ func (lw *lowerer) address(e cminor.Expr) place {
 			a := lw.emitDst(mir.Instr{Op: mir.GlobalAddr, Imm: int64(gi), Ty: ctypes.PointerTo(x.Var.Type), Slot: slot, Pos: x.Position()})
 			return place{addr: a, slot: slot, ty: x.Var.Type}
 		}
-		r, ok := lw.slots[x.Var.ID]
+		r, ok := lw.s.slots[x.Var.ID]
 		if !ok {
 			lw.fail(x.Position(), "variable %s has no slot", x.Name)
 			r = lw.emitDst(mir.Instr{Op: mir.Const, Imm: 0, Ty: ctypes.LongType})
@@ -722,6 +798,24 @@ func isFloat(t *ctypes.Type) bool {
 	return t != nil && (t.Kind == ctypes.Float || t.Kind == ctypes.Double)
 }
 
+var (
+	binSubs = map[cminor.BinOp]mir.BinSub{
+		cminor.Add: mir.Add, cminor.Sub: mir.Sub, cminor.Mul: mir.Mul,
+		cminor.Div: mir.Div, cminor.Rem: mir.Rem, cminor.And: mir.And,
+		cminor.Or: mir.Or, cminor.Xor: mir.Xor, cminor.Shl: mir.Shl, cminor.Shr: mir.Shr,
+	}
+	cmpSubs = map[cminor.BinOp]mir.CmpSub{
+		cminor.Eq: mir.Eq, cminor.Ne: mir.Ne, cminor.Lt: mir.Lt,
+		cminor.Le: mir.Le, cminor.Gt: mir.Gt, cminor.Ge: mir.Ge,
+	}
+	compoundSubs = map[cminor.TokKind]mir.BinSub{
+		cminor.PLUSEQ: mir.Add, cminor.MINUSEQ: mir.Sub,
+		cminor.STAREQ: mir.Mul, cminor.SLASHEQ: mir.Div, cminor.PCTEQ: mir.Rem,
+		cminor.AMPEQ: mir.And, cminor.PIPEEQ: mir.Or, cminor.CARETEQ: mir.Xor,
+		cminor.SHLEQ: mir.Shl, cminor.SHREQ: mir.Shr,
+	}
+)
+
 func (lw *lowerer) binary(x *cminor.Binary) mir.Reg {
 	switch x.Op {
 	case cminor.LogAnd, cminor.LogOr:
@@ -744,11 +838,7 @@ func (lw *lowerer) binary(x *cminor.Binary) mir.Reg {
 	switch x.Op {
 	case cminor.Add, cminor.Sub, cminor.Mul, cminor.Div, cminor.Rem,
 		cminor.And, cminor.Or, cminor.Xor, cminor.Shl, cminor.Shr:
-		sub := map[cminor.BinOp]mir.BinSub{
-			cminor.Add: mir.Add, cminor.Sub: mir.Sub, cminor.Mul: mir.Mul,
-			cminor.Div: mir.Div, cminor.Rem: mir.Rem, cminor.And: mir.And,
-			cminor.Or: mir.Or, cminor.Xor: mir.Xor, cminor.Shl: mir.Shl, cminor.Shr: mir.Shr,
-		}[x.Op]
+		sub := binSubs[x.Op]
 		if fl {
 			switch x.Op {
 			case cminor.Add:
@@ -769,10 +859,7 @@ func (lw *lowerer) binary(x *cminor.Binary) mir.Reg {
 		}
 		return r
 	case cminor.Eq, cminor.Ne, cminor.Lt, cminor.Le, cminor.Gt, cminor.Ge:
-		sub := map[cminor.BinOp]mir.CmpSub{
-			cminor.Eq: mir.Eq, cminor.Ne: mir.Ne, cminor.Lt: mir.Lt,
-			cminor.Le: mir.Le, cminor.Gt: mir.Gt, cminor.Ge: mir.Ge,
-		}[x.Op]
+		sub := cmpSubs[x.Op]
 		// FromTy records the operand type so the VM picks float compare.
 		return lw.emitDst(mir.Instr{Op: mir.CmpInstr, CmpSub: sub, A: a, B: b, Ty: ctypes.IntType, FromTy: xt, Pos: x.Position()})
 	}
@@ -829,12 +916,7 @@ func (lw *lowerer) assign(x *cminor.Assign) mir.Reg {
 		if pl.ty.Kind == ctypes.Pointer {
 			v = lw.scale(v, pl.ty.Elem.Size())
 		}
-		sub, ok := map[cminor.TokKind]mir.BinSub{
-			cminor.PLUSEQ: mir.Add, cminor.MINUSEQ: mir.Sub,
-			cminor.STAREQ: mir.Mul, cminor.SLASHEQ: mir.Div, cminor.PCTEQ: mir.Rem,
-			cminor.AMPEQ: mir.And, cminor.PIPEEQ: mir.Or, cminor.CARETEQ: mir.Xor,
-			cminor.SHLEQ: mir.Shl, cminor.SHREQ: mir.Shr,
-		}[x.Op]
+		sub, ok := compoundSubs[x.Op]
 		if !ok {
 			lw.fail(x.Position(), "unknown compound assignment %v", x.Op)
 		}

@@ -69,6 +69,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"rsti/internal/cminor"
 	"rsti/internal/ctypes"
@@ -116,6 +117,12 @@ type encoder struct {
 	lastIdx int
 }
 
+// encoders holds AppendProgram's scratch: the body buffer and the type
+// table are dropped once the encoding is appended. An encoder goes back
+// emptied, since its table holds type pointers and a pooled encoder must
+// never pin a dead program.
+var encoders = sync.Pool{New: func() any { return &encoder{idx: make(map[*ctypes.Type]int)} }}
+
 // AppendProgram appends p's encoding to dst and returns the extended
 // buffer.
 func AppendProgram(dst []byte, p *Program) []byte {
@@ -125,7 +132,8 @@ func AppendProgram(dst []byte, p *Program) []byte {
 			n += len(b.Instrs)
 		}
 	}
-	e := &encoder{body: make([]byte, 0, 1024+16*n), idx: make(map[*ctypes.Type]int, 64+n/2)}
+	e := encoders.Get().(*encoder)
+	e.body = slices.Grow(e.body[:0], 1024+16*n)
 	e.program(p)
 
 	dst = slices.Grow(dst, 16+16*len(e.types)+len(e.body))
@@ -148,7 +156,12 @@ func AppendProgram(dst []byte, p *Program) []byte {
 			dst = e.appendRef(dst, pt)
 		}
 	}
-	return append(dst, e.body...)
+	dst = append(dst, e.body...)
+	clear(e.idx)
+	clear(e.types)
+	e.types, e.last, e.lastIdx = e.types[:0], nil, 0
+	encoders.Put(e)
+	return dst
 }
 
 // typ returns t's table index (-1 for nil), adding t on first sight. A

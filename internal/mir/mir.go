@@ -155,26 +155,28 @@ type Slot struct {
 	Field  int          // field index within Struct
 }
 
-// Instr is one IR instruction. A single fat struct keeps the interpreter
-// simple and allocation-free.
+// Instr is one IR instruction. A single fat struct keeps every pass
+// simple. The byte-sized fields lead, so Op, the subcodes, Key and CE
+// share one word: every kept program, clone and arena pays 168 bytes per
+// instruction, not 184 (TestInstrSize pins it).
 type Instr struct {
-	Op      Op
+	Op     Op
+	BinSub BinSub
+	CmpSub CmpSub
+	Key    uint8  // pa.KeyID (instrumentation)
+	CE     uint16 // pointer-to-pointer compact equivalent tag (instrumentation)
+
 	Dst     Reg
 	A, B    Reg
 	Imm     int64
 	Ty      *ctypes.Type
 	FromTy  *ctypes.Type // CastOp source type
-	BinSub  BinSub
-	CmpSub  CmpSub
 	Slot    Slot
 	Callee  string
 	Args    []Reg
 	Targets [2]int
-	// Instrumentation fields:
-	Mod uint64 // static PAC modifier
-	Key uint8  // pa.KeyID
-	CE  uint16 // pointer-to-pointer compact equivalent tag
-	Pos cminor.Pos
+	Mod     uint64 // static PAC modifier (instrumentation)
+	Pos     cminor.Pos
 }
 
 // Block is a basic block: straight-line instructions ended by a

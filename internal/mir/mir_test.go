@@ -3,6 +3,7 @@ package mir
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rsti/internal/ctypes"
 )
@@ -364,5 +365,15 @@ func TestProgramStringIncludesExterns(t *testing.T) {
 	}
 	if !strings.Contains(out, "global g : int") {
 		t.Error("global missing from dump")
+	}
+}
+
+// TestInstrSize pins an instruction at 168 bytes: Op, the subcodes, Key
+// and CE share one word. Every kept program, clone, lowering arena and
+// instrumentation arena pays this per instruction, and the compile
+// cache's size estimate counts it.
+func TestInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n != 168 {
+		t.Errorf("Instr is %d bytes, want 168", n)
 	}
 }

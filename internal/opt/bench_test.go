@@ -30,8 +30,9 @@ func instrumentFlavours(tb testing.TB, src string) *flavourInputs {
 	}
 	fi := &flavourInputs{c: c}
 	base := opt.ElidableVars(c.Prog, c.Analysis)
+	couplings := opt.CollectCouplings(c.Prog)
 	for _, mech := range goldenMechs {
-		elide := opt.RefineElide(c.Prog, c.Analysis, base, mech)
+		elide := couplings.Refine(c.Analysis, base, mech)
 		prog, _, err := rsti.InstrumentWithOptions(c.Prog, c.Analysis, mech, rsti.Options{Elide: elide})
 		if err != nil {
 			tb.Fatal(err)
@@ -55,9 +56,10 @@ func dealII(tb testing.TB) *workload.Benchmark {
 }
 
 // BenchmarkOptimize compares, per program, one op of the optimizer's
-// whole share of the five optimized flavours (the elidable set once, then
-// the per-mechanism refinement and the redundant-authentication pass on
-// each flavour) with one op of instrumenting those five flavours. The
+// whole share of the five optimized flavours (the elidable set and the
+// couplings once, then the per-mechanism refinement and the
+// redundant-authentication pass on each flavour, as core.Compilation
+// does) with one op of instrumenting those five flavours. The
 // optimizer rewrites in place, so each flavour is optimized on a fresh
 // clone made with the timer stopped.
 func BenchmarkOptimize(b *testing.B) {
@@ -73,8 +75,9 @@ func BenchmarkOptimize(b *testing.B) {
 				}
 				b.StartTimer()
 				base := opt.ElidableVars(fi.c.Prog, fi.c.Analysis)
+				couplings := opt.CollectCouplings(fi.c.Prog)
 				for j, mech := range goldenMechs {
-					opt.RefineElide(fi.c.Prog, fi.c.Analysis, base, mech)
+					couplings.Refine(fi.c.Analysis, base, mech)
 					opt.Optimize(clones[j], mech)
 				}
 			}

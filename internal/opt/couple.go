@@ -8,6 +8,35 @@ import (
 
 // RefineElide narrows a mechanism-independent elide set (ElidableVars) for
 // one mechanism so that elision can only ever REMOVE dynamic PA operations.
+// It is CollectCouplings(prog).Refine; a caller refining for several
+// mechanisms collects the couplings once and refines each.
+func RefineElide(prog *mir.Program, an *sti.Analysis, base []bool, mech sti.Mechanism) []bool {
+	return CollectCouplings(prog).Refine(an, base, mech)
+}
+
+// Couplings is a program's value-flow edges between storage units: the
+// mechanism-independent half of RefineElide, computed once per program
+// and shared by every mechanism's refinement. Edges are kept in the order
+// they were first found, so refinement walks them in a fixed order.
+type Couplings struct {
+	edges [][2]unitKey
+}
+
+// CollectCouplings records every value flow between storage units in
+// prog's function bodies (see collect).
+func CollectCouplings(prog *mir.Program) *Couplings {
+	cp := &Couplings{}
+	seen := make(map[[2]unitKey]bool)
+	for _, fn := range prog.Funcs {
+		if !fn.Extern {
+			cp.collect(prog, fn, seen)
+		}
+	}
+	return cp
+}
+
+// Refine narrows base for mech so that elision can only ever REMOVE
+// dynamic PA operations.
 //
 // Elision makes a slot carry raw values. That is free where values are
 // consumed raw (dereferences, arithmetic, compares against raw), but at a
@@ -23,9 +52,10 @@ import (
 //
 // Dropping a candidate turns it back into a signed unit, which can create
 // new same-class couplings for its neighbours; the check iterates to a
-// fixpoint. The result never adds candidates, so every safety property of
-// the base set is preserved.
-func RefineElide(prog *mir.Program, an *sti.Analysis, base []bool, mech sti.Mechanism) []bool {
+// fixpoint. Drops only ever enable further drops, so the fixpoint does not
+// depend on the order edges are visited in. The result never adds
+// candidates, so every safety property of the base set is preserved.
+func (cp *Couplings) Refine(an *sti.Analysis, base []bool, mech sti.Mechanism) []bool {
 	elide := append([]bool(nil), base...)
 	any := false
 	for _, e := range elide {
@@ -49,19 +79,12 @@ func RefineElide(prog *mir.Program, an *sti.Analysis, base []bool, mech sti.Mech
 		return s
 	}
 
-	edges := make(map[[2]unitKey]bool)
-	for _, fn := range prog.Funcs {
-		if !fn.Extern {
-			collectCouplings(prog, fn, edges)
-		}
-	}
-
 	isElided := func(u unitKey) bool {
 		return u.kind == mir.SlotVar && u.v >= 0 && u.v < len(elide) && elide[u.v]
 	}
 	for changed := true; changed; {
 		changed = false
-		for e := range edges {
+		for _, e := range cp.edges {
 			for _, d := range [2][2]unitKey{{e[0], e[1]}, {e[1], e[0]}} {
 				x, y := d[0], d[1]
 				if !isElided(x) || isElided(y) {
@@ -97,14 +120,14 @@ type unitSig struct {
 	ok     bool
 }
 
-// collectCouplings records every value flow between storage units in fn:
-// a load's (or pointer parameter's) unit reaches another unit through a
+// collect records every value flow between storage units in fn: a
+// load's (or pointer parameter's) unit reaches another unit through a
 // store, an equality compare, or a direct-call argument binding. Registers
 // are textually single-assignment, so an origin never changes; pointer
 // bitcasts carry origins through (they carry signatures through in the
 // instrumenter). Cast chains may reference later definitions across
-// blocks, hence the fixpoint.
-func collectCouplings(prog *mir.Program, fn *mir.Func, edges map[[2]unitKey]bool) {
+// blocks, hence the fixpoint. seen dedups edges across functions.
+func (cp *Couplings) collect(prog *mir.Program, fn *mir.Func, seen map[[2]unitKey]bool) {
 	origin := make(map[mir.Reg]unitKey)
 	for i, pv := range fn.ParamVar {
 		if pv >= 0 && i < len(fn.Params) && fn.Params[i] != nil && fn.Params[i].IsPointer() {
@@ -145,7 +168,10 @@ func collectCouplings(prog *mir.Program, fn *mir.Func, edges map[[2]unitKey]bool
 			// signature matches, and raw-to-raw needs no op.
 			return
 		}
-		edges[[2]unitKey{a, b}] = true
+		if e := [2]unitKey{a, b}; !seen[e] {
+			seen[e] = true
+			cp.edges = append(cp.edges, e)
+		}
 	}
 	for _, blk := range fn.Blocks {
 		for i := range blk.Instrs {

@@ -163,45 +163,37 @@ func InstrumentWithOptions(prog *mir.Program, an *sti.Analysis, mech sti.Mechani
 		workers = len(units)
 	}
 
+	// Each worker borrows one pooled scratch for all the functions it
+	// handles, and returns it only after a normal return: instrumentFunc
+	// leaves it empty, while a function that panicked midway would not.
 	if workers <= 1 {
-		ins := &inserter{prog: out, an: an, mech: mech, stats: stats, opts: opts, rawConvention: raw}
+		ins := &inserter{prog: out, an: an, mech: mech, stats: stats, opts: opts, rawConvention: raw, s: getScratch()}
 		for _, u := range units {
-			if err := ins.instrumentFunc(u.dst, u.src); err != nil {
-				return nil, nil, err
-			}
+			ins.instrumentFunc(u.dst, u.src)
 		}
+		putScratch(ins.s)
 	} else {
 		// Work-stealing fan-out: workers pull function indices from a
 		// shared counter, so a function-sized straggler cannot idle the
-		// pool. Per-worker stats and caches avoid all cross-worker
-		// synchronization except the Analysis' own lock; the first error
-		// by function order wins, keeping failures deterministic too.
+		// pool. Per-worker stats, caches and scratch avoid all
+		// cross-worker synchronization except the Analysis' own lock.
 		var (
 			next  atomic.Int64
 			wg    sync.WaitGroup
-			errs  = make([]error, len(units))
 			parts = make([]Stats, workers)
 		)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				ins := &inserter{prog: out, an: an, mech: mech, stats: &parts[w], opts: opts, rawConvention: raw}
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(units) {
-						return
-					}
-					errs[i] = ins.instrumentFunc(units[i].dst, units[i].src)
+				ins := &inserter{prog: out, an: an, mech: mech, stats: &parts[w], opts: opts, rawConvention: raw, s: getScratch()}
+				for i := int(next.Add(1)) - 1; i < len(units); i = int(next.Add(1)) - 1 {
+					ins.instrumentFunc(units[i].dst, units[i].src)
 				}
+				putScratch(ins.s)
 			}(w)
 		}
 		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
 		for w := range parts {
 			stats.add(&parts[w])
 		}
@@ -287,24 +279,50 @@ type inserter struct {
 	fn  *mir.Func
 	sig []signature
 	out []mir.Instr
+	s   *scratch
+
+	argArena []mir.Reg // per-function call-argument storage (exact-size)
+}
+
+// scratch is one instrumentation worker's reusable storage: the
+// signature buffer, the instruction accumulator shared by every block of
+// a function, and the block boundary list. Final per-function storage is
+// one exact-size arena, so the steady-state pass allocates once per
+// function. A scratch lives in scratchPool across calls, so it outlives
+// the request and the worker goroutine that borrowed it; between
+// functions its instruction buffer is empty and cleared, since mir.Instr
+// holds type pointers and a pooled buffer must never pin a dead program.
+type scratch struct {
+	sig       []signature
+	out       []mir.Instr
+	blockEnds []int
 
 	// Memoization of Analysis lookups. Modifier resolution hashes an
 	// interned key string on every call; a function body revisits the same
-	// few slots and types thousands of times, so these per-inserter maps
-	// (never shared across workers) turn the steady state into map hits.
-	// Keys are stable *ctypes.Type pointers from the analyzed program.
+	// few slots and types thousands of times, so these per-worker maps
+	// turn the steady state into map hits. Keys are *ctypes.Type pointers
+	// from the analyzed program, and the answers are the mechanism's, so
+	// putScratch empties them at the end of every pass.
 	slotMods map[slotKey]slotMod
 	escMods  map[*ctypes.Type]uint64
 	feMods   map[*ctypes.Type]uint64
+}
 
-	// Reused scratch storage (per worker): the signature buffer, the
-	// instruction accumulator shared by every block of a function, and the
-	// block boundary list. Final per-function storage is one exact-size
-	// arena, so the steady-state pass allocates once per function.
-	sigBuf    []signature
-	scratch   []mir.Instr
-	blockEnds []int
-	argArena  []mir.Reg // per-function call-argument storage (exact-size)
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{
+		slotMods: make(map[slotKey]slotMod),
+		escMods:  make(map[*ctypes.Type]uint64),
+		feMods:   make(map[*ctypes.Type]uint64),
+	}
+}}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func putScratch(s *scratch) {
+	clear(s.slotMods)
+	clear(s.escMods)
+	clear(s.feMods)
+	scratchPool.Put(s)
 }
 
 // slotKey identifies a slot-modifier lookup: the Slot identity plus the
@@ -362,13 +380,10 @@ func (ins *inserter) slotSig(slot mir.Slot, ty *ctypes.Type, addr mir.Reg) (sign
 		return rawSig(), false
 	}
 	key := slotKey{kind: slot.Kind, v: slot.Var, strct: slot.Struct, field: slot.Field, ty: ty}
-	sm, hit := ins.slotMods[key]
+	sm, hit := ins.s.slotMods[key]
 	if !hit {
 		sm.class, sm.mod, sm.useLoc, sm.ok = ins.an.SlotModifier(slot, ty, ins.mech)
-		if ins.slotMods == nil {
-			ins.slotMods = make(map[slotKey]slotMod)
-		}
-		ins.slotMods[key] = sm
+		ins.s.slotMods[key] = sm
 	}
 	if !sm.ok {
 		return rawSig(), false
@@ -383,27 +398,21 @@ func (ins *inserter) slotSig(slot mir.Slot, ty *ctypes.Type, addr mir.Reg) (sign
 // escapedModifier memoizes the escaped-type fallback modifier for a
 // pointer type (the universal double-pointer dereference path).
 func (ins *inserter) escapedModifier(ty *ctypes.Type) uint64 {
-	if m, ok := ins.escMods[ty]; ok {
+	if m, ok := ins.s.escMods[ty]; ok {
 		return m
 	}
 	m := ins.an.Modifier(ins.an.EscapedType(ty).ID, ins.mech)
-	if ins.escMods == nil {
-		ins.escMods = make(map[*ctypes.Type]uint64)
-	}
-	ins.escMods[ty] = m
+	ins.s.escMods[ty] = m
 	return m
 }
 
 // feModifier memoizes FEModifierFor per FE inner type.
 func (ins *inserter) feModifier(fe *ctypes.Type) uint64 {
-	if m, ok := ins.feMods[fe]; ok {
+	if m, ok := ins.s.feMods[fe]; ok {
 		return m
 	}
 	m := ins.an.FEModifierFor(fe, ins.mech)
-	if ins.feMods == nil {
-		ins.feMods = make(map[*ctypes.Type]uint64)
-	}
-	ins.feMods[fe] = m
+	ins.s.feMods[fe] = m
 	return m
 }
 
@@ -523,12 +532,12 @@ func (ins *inserter) maybeTagPP(arg mir.Reg, fo *sti.FuncOrigins) mir.Reg {
 // inserted PA ops. src is read-only: instructions are rewritten as stack
 // copies, and call Args are copied into dst's argument arena before any
 // register rewrite touches them.
-func (ins *inserter) instrumentFunc(fn, src *mir.Func) error {
+func (ins *inserter) instrumentFunc(fn, src *mir.Func) {
 	ins.fn = fn
-	if cap(ins.sigBuf) < fn.NumRegs {
-		ins.sigBuf = make([]signature, fn.NumRegs+fn.NumRegs/2)
+	if cap(ins.s.sig) < fn.NumRegs {
+		ins.s.sig = make([]signature, fn.NumRegs+fn.NumRegs/2)
 	}
-	ins.sig = ins.sigBuf[:fn.NumRegs]
+	ins.sig = ins.s.sig[:fn.NumRegs]
 	for i := range ins.sig {
 		ins.sig[i] = rawSig()
 	}
@@ -565,30 +574,29 @@ func (ins *inserter) instrumentFunc(fn, src *mir.Func) error {
 	// blocks subslice (capacity-capped, so blocks stay independent). The
 	// steady state allocates one instruction backing array per function
 	// instead of a 2x-capacity guess per block.
-	ins.out = ins.scratch[:0]
-	ins.blockEnds = ins.blockEnds[:0]
+	ins.out = ins.s.out[:0]
+	ends := ins.s.blockEnds[:0]
 	for _, blk := range src.Blocks {
 		for idx := range blk.Instrs {
 			in := blk.Instrs[idx] // copy
 			ins.instr(&in, fo)
 		}
-		ins.blockEnds = append(ins.blockEnds, len(ins.out))
+		ends = append(ends, len(ins.out))
 	}
 	arena := make([]mir.Instr, len(ins.out))
 	copy(arena, ins.out)
 	start := 0
 	for i, blk := range fn.Blocks {
-		end := ins.blockEnds[i]
-		blk.Instrs = arena[start:end:end]
-		start = end
+		blk.Instrs = arena[start:ends[i]:ends[i]]
+		start = ends[i]
 	}
-	ins.scratch = ins.out[:0]
 
-	// Retain grown buffers for the next function this worker handles.
-	if cap(ins.sig) > cap(ins.sigBuf) {
-		ins.sigBuf = ins.sig
+	// Keep grown buffers for the next function, emptied and cleared.
+	clear(ins.out)
+	ins.s.out, ins.s.blockEnds = ins.out[:0], ends[:0]
+	if cap(ins.sig) > cap(ins.s.sig) {
+		ins.s.sig = ins.sig
 	}
-	return nil
 }
 
 // instr rewrites one instruction, emitting it (plus any inserted PA ops)
