@@ -99,6 +99,43 @@ func TestErrorTaxonomyTable(t *testing.T) {
 			isNot: []error{rsti.ErrParse, rsti.ErrStepBudget},
 		},
 		{
+			// long[2^61-1] is 2^64-8 bytes, -8 in int arithmetic; left
+			// unchecked, the alloca wrapped the stack pointer past the
+			// stack's end and the interpreter panicked zeroing the slot.
+			name: "compile/local-size-wrap",
+			produce: func(t *testing.T) error {
+				_, err := rsti.Compile("int main(void){ long big[0x1fffffffffffffff]; long a; a = 1; return a; }")
+				return err
+			},
+			is:    []error{rsti.ErrTypeCheck},
+			isNot: []error{rsti.ErrParse, rsti.ErrStepBudget},
+		},
+		{
+			// Four 2^62-byte globals: left unchecked, the running globals
+			// size wrapped to 0 and x was laid out on top of g1 (the
+			// program returned 9).
+			name: "compile/globals-sum-wrap",
+			produce: func(t *testing.T) error {
+				_, err := rsti.Compile(`char g1[0x4000000000000000]; char g2[0x4000000000000000];
+char g3[0x4000000000000000]; char g4[0x4000000000000000]; long x;
+int main(void){ g1[0] = 9; return x; }`)
+				return err
+			},
+			is:    []error{rsti.ErrTypeCheck},
+			isNot: []error{rsti.ErrParse, rsti.ErrStepBudget},
+		},
+		{
+			// Left unchecked, this sizeof evaluated to -8 (the program
+			// returned 1).
+			name: "compile/sizeof-wrap",
+			produce: func(t *testing.T) error {
+				_, err := rsti.Compile("int main(void){ return sizeof(long[0x1fffffffffffffff]) == -8; }")
+				return err
+			},
+			is:    []error{rsti.ErrTypeCheck},
+			isNot: []error{rsti.ErrParse, rsti.ErrStepBudget},
+		},
+		{
 			name: "run/step-budget",
 			produce: func(t *testing.T) error {
 				res, err := p.Run(rsti.None, rsti.WithStepBudget(50))

@@ -77,7 +77,25 @@ func Check(f *File) error {
 		}
 	}
 
+	// Every type the program names must have a size the address space
+	// holds; the lowerer and the VM compute sizes without further checks.
+	for _, sd := range f.Structs {
+		c.checkSize(sd.Pos, sd.Type)
+		for _, fl := range sd.Type.Fields {
+			if fl.Type.Kind == ctypes.Pointer {
+				c.checkSize(sd.Pos, fl.Type)
+			}
+		}
+	}
+	for _, fn := range f.Funcs {
+		c.checkSize(fn.Pos, fn.Ret)
+		for _, p := range fn.Params {
+			c.checkSize(p.Pos, p.Type)
+		}
+	}
+
 	for _, g := range f.Globals {
+		c.checkSize(g.Pos, g.Type)
 		if _, dup := c.globals[g.Name]; dup {
 			c.errorf(g.Pos, "global %s redeclared", g.Name)
 			continue
@@ -106,6 +124,17 @@ func Check(f *File) error {
 
 func (c *checker) errorf(pos Pos, format string, args ...interface{}) {
 	c.errs = append(c.errs, &CheckError{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+}
+
+// checkSize reports a type that cannot be laid out (see
+// ctypes.CheckSize).
+func (c *checker) checkSize(pos Pos, t *ctypes.Type) {
+	if t == nil {
+		return
+	}
+	if err := ctypes.CheckSize(t); err != nil {
+		c.errorf(pos, "%v", err)
+	}
 }
 
 func (c *checker) push() { c.scopes = append(c.scopes, make(map[string]*VarSym)) }
@@ -158,6 +187,7 @@ func (c *checker) checkStmt(s Stmt) {
 		}
 	case *DeclStmt:
 		d := st.Decl
+		c.checkSize(d.Pos, d.Type)
 		sym := &VarSym{Name: d.Name, Type: d.Type, DeclFn: c.curFn.Name, DeclPos: d.Pos, ID: c.nextID}
 		c.nextID++
 		d.Sym = sym
@@ -485,6 +515,7 @@ func (c *checker) checkExpr(e Expr) Expr {
 		}
 		x.Ty = xt.Elem
 	case *Cast:
+		c.checkSize(x.Pos, x.Ty)
 		x.X = decay(c.checkExpr(x.X))
 		// Any scalar-to-scalar cast is permitted, as in C.
 		from, to := x.X.Type(), x.Ty
@@ -496,8 +527,10 @@ func (c *checker) checkExpr(e Expr) Expr {
 		s := &SizeofExpr{Of: op.Type()}
 		s.Pos = x.Position()
 		s.Ty = ctypes.LongType
+		c.checkSize(s.Pos, s.Of)
 		return s
 	case *SizeofExpr:
+		c.checkSize(x.Pos, x.Of)
 		x.Ty = ctypes.LongType
 	}
 	return e

@@ -182,14 +182,17 @@ func Compile(src string) (*Compilation, error) {
 }
 
 // FromProgram wraps an already-lowered program — typically one decoded
-// from a disk artifact — as a Compilation: it verifies the IR, reruns the
-// STI analysis (deterministic, so PAC modifiers and scope metadata come
-// out exactly as the original compile produced them), and leaves builds
-// to materialize lazily, exactly as after Compile. The frontend AST is
-// not reconstructed (File is nil); nothing downstream of Compile reads
-// it.
+// from a disk artifact — as a Compilation: it verifies the IR and its
+// static data layout (see Compile), reruns the STI analysis
+// (deterministic, so PAC modifiers and scope metadata come out exactly
+// as the original compile produced them), and leaves builds to
+// materialize lazily, exactly as after Compile. The frontend AST is not
+// reconstructed (File is nil); nothing downstream of Compile reads it.
 func FromProgram(prog *mir.Program) (*Compilation, error) {
 	if err := prog.Verify(); err != nil {
+		return nil, fmt.Errorf("reloaded program: %w", err)
+	}
+	if err := vm.CheckDataLayout(prog); err != nil {
 		return nil, fmt.Errorf("reloaded program: %w", err)
 	}
 	return &Compilation{

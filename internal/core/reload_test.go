@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"rsti/internal/ctypes"
 	"rsti/internal/mir"
 	"rsti/internal/sti"
 )
@@ -114,5 +115,22 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	if _, err := mir.DecodeProgram(nil); err == nil {
 		t.Error("empty payload decoded without error")
+	}
+}
+
+// TestFromProgramChecksDataLayout: a decoded program whose global is too
+// large for the globals segment, here with a size that wraps negative,
+// is rejected when it is reloaded. Building a machine for it panicked
+// slicing the segment to that size.
+func TestFromProgramChecksDataLayout(t *testing.T) {
+	c, err := Compile("long g; int main(void) { g = 1; return 0; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := ctypes.ArrayOf(ctypes.LongType, 1<<60)
+	c.Prog.Globals[0].Type = huge
+	c.Prog.Vars[c.Prog.Globals[0].Var].Type = huge
+	if _, err := FromProgram(c.Prog); err == nil {
+		t.Fatal("FromProgram accepted a global of 2^63 bytes")
 	}
 }

@@ -135,6 +135,66 @@ func (t *Type) Size() int {
 	panic(fmt.Sprintf("ctypes: Size of unknown kind %d", t.Kind))
 }
 
+// MaxSize bounds the size of every object: the 48-bit virtual address
+// space the model executes in.
+const MaxSize = 1 << 48
+
+// CheckSize reports why t cannot be laid out, or nil when it can: t (or,
+// for a pointer, what it points to) is larger than MaxSize, or a struct
+// contains itself by value. Each multiplication and addition is checked
+// before it is made, so no size can wrap. A struct behind a pointer is
+// not walked: a struct type is checked on its own, where it is defined.
+func CheckSize(t *Type) error {
+	for t.Kind == Pointer {
+		if t = t.Elem; t.Kind == Struct {
+			return nil
+		}
+	}
+	_, err := checkedSize(t, nil)
+	return err
+}
+
+// enclosing links the structs whose layout encloses a type being sized.
+type enclosing struct {
+	t  *Type
+	up *enclosing
+}
+
+// checkedSize is Size with those checks, over what t holds by value.
+func checkedSize(t *Type, path *enclosing) (int, error) {
+	switch t.Kind {
+	case Array:
+		n, err := checkedSize(t.Elem, path)
+		if err == nil && (t.Len < 0 || n > 0 && t.Len > MaxSize/n) {
+			err = tooBig(t)
+		}
+		return t.Len * n, err
+	case Struct:
+		for p := path; p != nil; p = p.up {
+			if p.t == t {
+				return 0, fmt.Errorf("struct %s contains itself by value", t.Name)
+			}
+		}
+		size, in := 0, enclosing{t, path}
+		for _, f := range t.Fields {
+			n, err := checkedSize(f.Type, &in)
+			if err != nil {
+				return 0, err
+			}
+			a := f.Type.Align()
+			if size = (size + a - 1) / a * a; n > MaxSize-size {
+				return 0, tooBig(t)
+			}
+			size += n
+		}
+		a := t.Align() // divides MaxSize, so rounding up stays within it
+		return (size + a - 1) / a * a, nil
+	}
+	return t.Size(), nil
+}
+
+func tooBig(t *Type) error { return fmt.Errorf("type %s is larger than the 48-bit address space", t) }
+
 // Align returns the natural alignment.
 func (t *Type) Align() int {
 	switch t.Kind {

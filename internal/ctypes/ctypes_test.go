@@ -23,6 +23,35 @@ func TestBasicSizes(t *testing.T) {
 	}
 }
 
+// TestCheckSize pins the object-size bound: a type fits when its size,
+// or for a pointer its pointee's, is at most MaxSize, however its Size
+// would wrap; a struct that holds itself by value never fits.
+func TestCheckSize(t *testing.T) {
+	tb := NewTable()
+	node, _ := tb.CompleteStruct("node", []Field{{Name: "next", Type: PointerTo(tb.DeclareStruct("node"))}})
+	two, _ := tb.CompleteStruct("two", []Field{{Name: "a", Type: ArrayOf(CharType, MaxSize)}, {Name: "b", Type: CharType}})
+	self, _ := tb.CompleteStruct("self", []Field{{Name: "x", Type: tb.DeclareStruct("self")}})
+	for _, tc := range []struct {
+		ty   *Type
+		fits bool
+	}{
+		{ArrayOf(CharType, MaxSize), true},
+		{ArrayOf(LongType, MaxSize/8), true},
+		{node, true},
+		{ArrayOf(CharType, MaxSize+1), false},
+		{ArrayOf(LongType, 1<<61-1), false},               // Size wraps to -8
+		{ArrayOf(ArrayOf(LongType, 1<<20), 1<<40), false}, // 2^63 bytes, negative
+		{ArrayOf(CharType, -1), false},
+		{PointerTo(ArrayOf(LongType, 1<<61-1)), false},
+		{two, false}, // each field fits, their sum does not
+		{self, false},
+	} {
+		if err := CheckSize(tc.ty); (err == nil) != tc.fits {
+			t.Errorf("CheckSize(%s) = %v, want fits=%v", tc.ty, err, tc.fits)
+		}
+	}
+}
+
 func TestStructLayoutAlignment(t *testing.T) {
 	tb := NewTable()
 	s, err := tb.CompleteStruct("node", []Field{

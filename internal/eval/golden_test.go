@@ -206,30 +206,3 @@ func TestCompileCacheSharesCompilation(t *testing.T) {
 		t.Errorf("cached analysis has %d runtime types, fresh compile has %d", got, want)
 	}
 }
-
-// TestPACDenseFusedShareFloor pins the superinstruction selector's
-// coverage on the PAC-dense kernel: a meaningful share of its modelled
-// instructions must retire through fused dispatch groups. Before the
-// selector learned the aut→addr→access triples this share was under 1%
-// (the kernel's authenticated accesses all go through field/index
-// address computation), so the floor guards against the selector
-// silently narrowing again.
-func TestPACDenseFusedShareFloor(t *testing.T) {
-	c, err := core.Compile(workload.PACDense().Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []core.OptimizeMode{core.OptimizeOff, core.OptimizeOn} {
-		res, err := c.Run(sti.STWC, core.RunConfig{Optimize: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Err != nil {
-			t.Fatalf("pac-dense trapped: %v", res.Err)
-		}
-		if share := res.Stats.FusedShare(); share < 0.2 {
-			t.Errorf("optimize=%v: fused share = %.4f of %d instrs, want >= 0.2",
-				mode, share, res.Stats.Instrs)
-		}
-	}
-}

@@ -53,9 +53,7 @@ func TestOptimizedRunsEquivalent(t *testing.T) {
 			if on.Stats.Cycles > off.Stats.Cycles {
 				t.Errorf("%s/%s: optimizer increased cycles: %d > %d", w.Name, mech, on.Stats.Cycles, off.Stats.Cycles)
 			}
-			t.Logf("%s/%s: pac off=%d on=%d fusedAL=%d fusedSS=%d",
-				w.Name, mech, off.Stats.PACOps(), on.Stats.PACOps(),
-				on.Stats.FusedAuthLoads, on.Stats.FusedSignStores)
+			t.Logf("%s/%s: pac off=%d on=%d", w.Name, mech, off.Stats.PACOps(), on.Stats.PACOps())
 		}
 	}
 }

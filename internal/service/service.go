@@ -114,7 +114,7 @@ type Server struct {
 
 	// pacMu guards the per-mechanism dynamic PAC-op accumulators served
 	// under /v1/metrics: every completed run adds its executed
-	// sign/auth/strip counts and fused-dispatch counts for its mechanism.
+	// sign/auth/strip counts for its mechanism.
 	pacMu  sync.Mutex
 	pacOps map[string]*pacOpMetrics
 }
@@ -260,20 +260,12 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 func (s *Server) CacheStats() compilecache.Stats { return s.cache.Stats() }
 
 // pacOpMetrics accumulates the dynamic PA-instruction counters of every
-// run served under one mechanism, including the superinstruction
-// dispatches (fused pairs execute the same modelled ops; the fused
-// counters measure how many dispatches the host saved).
+// run served under one mechanism.
 type pacOpMetrics struct {
-	Runs                int64 `json:"runs"`
-	PacSigns            int64 `json:"pac_signs"`
-	PacAuths            int64 `json:"pac_auths"`
-	PacStrips           int64 `json:"pac_strips"`
-	FusedAuthLoads      int64 `json:"fused_auth_loads"`
-	FusedSignStores     int64 `json:"fused_sign_stores"`
-	FusedAuthStores     int64 `json:"fused_auth_stores"`
-	FusedAuthAddrLoads  int64 `json:"fused_auth_addr_loads"`
-	FusedAuthAddrStores int64 `json:"fused_auth_addr_stores"`
-	FusedInstrs         int64 `json:"fused_instrs"`
+	Runs      int64 `json:"runs"`
+	PacSigns  int64 `json:"pac_signs"`
+	PacAuths  int64 `json:"pac_auths"`
+	PacStrips int64 `json:"pac_strips"`
 }
 
 // recordPACOps folds one run's executed PAC-op counters into the
@@ -293,12 +285,6 @@ func (s *Server) recordPACOps(mech sti.Mechanism, res *core.RunResult) {
 	m.PacSigns += res.Stats.PacSigns
 	m.PacAuths += res.Stats.PacAuths
 	m.PacStrips += res.Stats.PacStrips
-	m.FusedAuthLoads += res.Stats.FusedAuthLoads
-	m.FusedSignStores += res.Stats.FusedSignStores
-	m.FusedAuthStores += res.Stats.FusedAuthStores
-	m.FusedAuthAddrLoads += res.Stats.FusedAuthAddrLoads
-	m.FusedAuthAddrStores += res.Stats.FusedAuthAddrStores
-	m.FusedInstrs += res.Stats.FusedInstrs
 }
 
 // pacOpsSnapshot copies the accumulators for the metrics endpoints.

@@ -17,9 +17,8 @@ import (
 // do on the host side: no printf (the formatting builtins allocate) and no
 // exit() (the exit sentinel allocates). It still exercises everything the
 // zero-allocation contract covers — struct field traffic through
-// authenticated pointers (the fused superinstructions and their
-// monomorphic site caches), bump allocation, calls deep enough to cycle
-// the frame pool.
+// authenticated pointers (and their monomorphic site caches), bump
+// allocation, calls deep enough to cycle the frame pool.
 const allocBenchSrc = `
 struct node { int v; struct node *next; };
 
@@ -53,8 +52,8 @@ int main(void) {
 `
 
 // allocBenchProg lowers and STC-instruments the allocation workload, so
-// the measured run path includes pac/aut traffic and fused groups, not
-// just plain arithmetic.
+// the measured run path includes pac/aut traffic, not just plain
+// arithmetic.
 func allocBenchProg(t *testing.T) *mir.Program {
 	t.Helper()
 	return instrumentedProg(t, allocBenchSrc, sti.STC)
@@ -178,8 +177,6 @@ func residentMachine(t *testing.T, prog *mir.Program) *Machine {
 // snapshot, leaving the modelled numbers every run must reproduce.
 func modelled(s Stats) Stats {
 	s.PACCacheHits, s.PACCacheMisses = 0, 0
-	s.FusedAuthLoads, s.FusedSignStores, s.FusedAuthStores = 0, 0, 0
-	s.FusedAuthAddrLoads, s.FusedAuthAddrStores, s.FusedInstrs = 0, 0, 0
 	return s
 }
 

@@ -142,7 +142,7 @@ func (m *Machine) malloc(size uint64) (uint64, error) {
 		size = 1
 	}
 	size = (size + 15) &^ 15
-	if m.heapNext+size > m.heapEnd {
+	if size == 0 || size > m.heapEnd-m.heapNext { // 0: the rounding wrapped
 		return 0, fmt.Errorf("vm: heap exhausted (%d bytes requested)", size)
 	}
 	addr := m.heapNext

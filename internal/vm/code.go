@@ -11,7 +11,7 @@ import (
 
 // xop is an executable opcode: one form of a mir.Op. Every IR opcode
 // that has a width, an extension, a subcode or a cast kind expands into
-// one form per variant, so the interpreter's switch (Machine.exec)
+// one form per variant, so the interpreter's switch (Machine.run)
 // lands in code written for exactly that form and never consults the
 // instruction's *ctypes.Type. irOp folds each form back to the IR
 // opcode it executes, so Stats and cycles are counted per mir.Op.
@@ -101,16 +101,9 @@ const (
 	xBr           // goto imm low 32 bits if a != 0, else imm high 32 bits
 
 	// PA instructions: dst = pac/aut(a, key, imm ^ b when b is a
-	// register). The fused forms are superinstruction heads: the records
-	// after them complete the group in the same switch arm (see §5.3 of
-	// DESIGN.md).
+	// register).
 	xPacSign
-	xPacSignStore // pac ; store of the signed value
 	xPacAuth
-	xAuthLoad      // aut ; load through the authenticated pointer
-	xAuthStore     // aut ; store through the authenticated pointer
-	xAuthAddrLoad  // aut ; fieldaddr/indexaddr off it ; load
-	xAuthAddrStore // aut ; fieldaddr/indexaddr off it ; store
 	xPacStrip
 
 	xPPAdd     // register CE a -> (modifier imm, inner CE b)
@@ -156,8 +149,8 @@ var irOp = func() (t [numXops]mir.Op) {
 		{mir.RetOp, xRet, xRetVoid},
 		{mir.Jmp, xJmp, xJmp},
 		{mir.Br, xBr, xBr},
-		{mir.PacSign, xPacSign, xPacSignStore},
-		{mir.PacAuth, xPacAuth, xAuthAddrStore},
+		{mir.PacSign, xPacSign, xPacSign},
+		{mir.PacAuth, xPacAuth, xPacAuth},
 		{mir.PacStrip, xPacStrip, xPacStrip},
 		{mir.PPAdd, xPPAdd, xPPAdd},
 		{mir.PPAddTBI, xPPAddTBI, xPPAddTBI},
@@ -266,7 +259,6 @@ func (img *Image) compileFunc(f *mir.Func, code []xinstr, base int32, blocks []i
 	i := 0
 	for bi, blk := range f.Blocks {
 		img.compileBlock(code[i:], blk.Instrs, blocks, index)
-		img.fuse(code[i : i+len(blk.Instrs)])
 		i += len(blk.Instrs)
 		end := n
 		if bi+1 < len(blocks) {
@@ -396,48 +388,6 @@ func (img *Image) site() uint64 {
 	return uint64(img.sites - 1)
 }
 
-// fuse marks superinstruction groups in one block's records (code) by
-// replacing each group's head with its fused form; it reads the
-// records, not the IR. Fusion never crosses a block boundary: adjacency
-// is within one block. Beyond the aut+load and pac+store pairs it
-// matches the sequences instrumentation emits on struct- and
-// array-heavy code, where the authenticated pointer is usually offset
-// by a fieldaddr/indexaddr before the access: aut;addr;load and
-// aut;addr;store triples. Fusion changes host dispatch only — every
-// modelled number (steps, cycles, per-op counts, trap attribution) is
-// that of unfused execution.
-func (img *Image) fuse(code []xinstr) {
-	isLoad := func(x *xinstr) bool { return x.op >= xLoad1 && x.op <= xLoad8 }
-	isStore := func(x *xinstr) bool { return x.op >= xStore1 && x.op <= xStore8 }
-	for ii := 0; ii+1 < len(code); ii++ {
-		in, next := &code[ii], &code[ii+1]
-		switch {
-		case in.op == xPacAuth && isLoad(next) && next.a == in.dst:
-			in.op = xAuthLoad
-			img.fused.AuthLoads++
-		case in.op == xPacAuth && isStore(next) && next.a == in.dst:
-			in.op = xAuthStore
-			img.fused.AuthStores++
-		case in.op == xPacAuth && (next.op == xFieldAddr || next.op == xIndexAddr) &&
-			next.a == in.dst && ii+2 < len(code):
-			third := &code[ii+2]
-			switch {
-			case isLoad(third) && third.a == next.dst:
-				in.op = xAuthAddrLoad
-				img.fused.AuthAddrLoads++
-				ii++ // the addr instruction is claimed by this group
-			case isStore(third) && third.a == next.dst:
-				in.op = xAuthAddrStore
-				img.fused.AuthAddrStores++
-				ii++
-			}
-		case in.op == xPacSign && isStore(next) && next.b == in.dst:
-			in.op = xPacSignStore
-			img.fused.SignStores++
-		}
-	}
-}
-
 // accessSize is the width in bytes of a load or store of type t: the
 // type's size when it is 1, 2, 4 or 8, and 8 otherwise (nil included).
 func accessSize(t *ctypes.Type) int {
@@ -467,21 +417,9 @@ func loadForm(t *ctypes.Type) xop {
 	return xLoad8
 }
 
-// storeForm picks the store form for a value of type t.
-func storeForm(t *ctypes.Type) xop {
-	switch accessSize(t) {
-	case 1:
-		return xStore1
-	case 2:
-		return xStore2
-	case 4:
-		if t.Kind == ctypes.Float {
-			return xStore4F
-		}
-		return xStore4
-	}
-	return xStore8
-}
+// storeForm picks the store form for a value of type t: the store forms
+// run in the order of the load forms.
+func storeForm(t *ctypes.Type) xop { return loadForm(t) - xLoad1 + xStore1 }
 
 func isFloat(t *ctypes.Type) bool {
 	return t != nil && (t.Kind == ctypes.Float || t.Kind == ctypes.Double)
@@ -516,8 +454,7 @@ func castForm(from, to *ctypes.Type) xop {
 	return forms[0]
 }
 
-// The per-form value semantics, shared by the interpreter's own arms and
-// the tails of fused groups.
+// The per-form value semantics of the interpreter's arms.
 
 func sx8(v uint64) uint64  { return uint64(int64(int8(v))) }
 func sx16(v uint64) uint64 { return uint64(int64(int16(v))) }
@@ -567,10 +504,4 @@ func st(op xop, b []byte, v uint64) {
 	default:
 		binary.LittleEndian.PutUint64(b, v)
 	}
-}
-
-// width is each access form's size in bytes.
-var width = [numXops]uint64{
-	xLoad1: 1, xLoad2: 2, xLoad4: 4, xLoad4F: 4, xLoad8: 8,
-	xStore1: 1, xStore2: 2, xStore4: 4, xStore4F: 4, xStore8: 8,
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -79,6 +80,40 @@ func iPAC(op mir.Op, dst, a mir.Reg) mir.Instr {
 func iCall(dst mir.Reg, callee string, args ...mir.Reg) mir.Instr {
 	return mir.Instr{Op: mir.CallOp, Dst: dst, A: mir.NoReg, B: mir.NoReg, Callee: callee, Args: args}
 }
+func iField(dst, base mir.Reg, off int64) mir.Instr {
+	return mir.Instr{Op: mir.FieldAddr, Dst: dst, A: base, B: mir.NoReg, Imm: off}
+}
+func iIndex(dst, base, idx mir.Reg, scale int64) mir.Instr {
+	return mir.Instr{Op: mir.IndexAddr, Dst: dst, A: base, B: idx, Imm: scale}
+}
+func iEq(dst, a, b mir.Reg) mir.Instr {
+	return mir.Instr{Op: mir.CmpInstr, CmpSub: mir.Eq, Dst: dst, A: a, B: b, FromTy: ctypes.LongType}
+}
+
+// iPP is pp_sign or pp_auth (op) of val through the outer pointer, with
+// static modifier 9; loc selects the form that mixes in the outer
+// pointer's address.
+func iPP(op mir.Op, dst, outer, val mir.Reg, loc bool) mir.Instr {
+	in := mir.Instr{Op: op, Dst: dst, A: outer, B: val, Mod: 9, Key: uint8(pa.KeyDA)}
+	if loc {
+		in.Imm = 1
+	}
+	return in
+}
+
+// iPPAdd registers CE ce with FE modifier fe and next-level CE inner.
+func iPPAdd(ce uint16, fe uint64, inner int64) mir.Instr {
+	return mir.Instr{Op: mir.PPAdd, Dst: mir.NoReg, A: mir.NoReg, B: mir.NoReg, CE: ce, Mod: fe, Imm: inner}
+}
+
+// iTag is pp_addtbi: dst = ptr with CE ce in its tag byte.
+func iTag(dst, ptr mir.Reg, ce uint16) mir.Instr {
+	return mir.Instr{Op: mir.PPAddTBI, Dst: dst, A: ptr, B: mir.NoReg, CE: ce}
+}
+
+// withMod sets an instruction's static modifier, at its source line.
+func withMod(in mir.Instr, mod uint64) mir.Instr { in.Mod = mod; return in }
+func at(line int, in mir.Instr) mir.Instr        { in.Pos = cminor.Pos{Line: line}; return in }
 
 // formGlobals lay out as g at GlobalsBase, h (1 byte) at +8 and k at +16.
 var formGlobals = []*mir.Global{
@@ -106,7 +141,7 @@ func formProg(funcs ...*mir.Func) *mir.Program {
 
 // oneBlock is a function of one block.
 func oneBlock(name string, params int, instrs ...mir.Instr) *mir.Func {
-	f := &mir.Func{Name: name, NumRegs: 8, Params: make([]*ctypes.Type, params)}
+	f := &mir.Func{Name: name, NumRegs: 16, Params: make([]*ctypes.Type, params)}
 	f.NewBlock("entry").Instrs = instrs
 	return f
 }
@@ -155,12 +190,21 @@ func straight(name string, want uint64, instrs ...mir.Instr) formCase {
 	return formCase{name: name, prog: formProg(oneBlock("main", 0, instrs...)), want: want, stats: charged(instrs...)}
 }
 
+// trapping is a formCase for a straight-line main that traps kind at the
+// instruction on line, charging it and nothing after it.
+func trapping(name string, kind TrapKind, line int, instrs ...mir.Instr) formCase {
+	n := slices.IndexFunc(instrs, func(in mir.Instr) bool { return in.Pos.Line == line })
+	return formCase{name: name, prog: formProg(oneBlock("main", 0, instrs...)), trap: kind, trapPos: line,
+		stats: charged(instrs[:n+1]...)}
+}
+
 func TestFormConformance(t *testing.T) {
 	var cases []formCase
 	f32 := uint64(math.Float32bits(-1.5))
 
-	// Loads at every width and extension, plain and as the tail of a
-	// fused aut+load group.
+	// Loads at every width and extension, plain and through an aut just
+	// before the load. The /fused cases are named for the superinstruction
+	// the interpreter once dispatched that pair as.
 	for _, l := range []struct {
 		ty   *ctypes.Type
 		poke uint64
@@ -178,14 +222,15 @@ func TestFormConformance(t *testing.T) {
 	} {
 		plain := straight("load/"+l.ty.String(), l.want(l.poke), iGaddr(0, 0), iLoad(1, 0, l.ty), iRet(1))
 		plain.poke = l.poke
-		fused := straight("load/"+l.ty.String()+"/fused", l.want(l.poke),
+		authed := straight("load/"+l.ty.String()+"/fused", l.want(l.poke),
 			iGaddr(0, 0), iPAC(mir.PacSign, 1, 0), iPAC(mir.PacAuth, 2, 1), iLoad(3, 2, l.ty), iRet(3))
-		fused.poke = l.poke
-		cases = append(cases, plain, fused)
+		authed.poke = l.poke
+		cases = append(cases, plain, authed)
 	}
 
-	// Stores at every width, float32 narrowing included, plain and fused
-	// (aut+store): the 8 bytes of g read back after the store.
+	// Stores at every width, float32 narrowing included, plain and
+	// through an aut just before the store (/fused): the 8 bytes of g
+	// read back after the store.
 	const bg = 0x11223344_55667788
 	for _, s := range []struct {
 		ty   *ctypes.Type
@@ -201,12 +246,82 @@ func TestFormConformance(t *testing.T) {
 		plain := straight("store/"+s.ty.String(), s.want,
 			iGaddr(0, 0), iConst(1, s.v), iStore(0, 1, s.ty), iLoad(2, 0, ctypes.LongType), iRet(2))
 		plain.poke = bg
-		fused := straight("store/"+s.ty.String()+"/fused", s.want,
+		authed := straight("store/"+s.ty.String()+"/fused", s.want,
 			iGaddr(0, 0), iConst(1, s.v), iPAC(mir.PacSign, 3, 0), iPAC(mir.PacAuth, 4, 3),
 			iStore(4, 1, s.ty), iLoad(2, 0, ctypes.LongType), iRet(2))
-		fused.poke = bg
-		cases = append(cases, plain, fused)
+		authed.poke = bg
+		cases = append(cases, plain, authed)
 	}
+
+	// Authentication beside an access. A failed aut traps naming itself
+	// and charges nothing after it; after a good one, a fault names the
+	// access. Signed values round-trip through memory, and an aut
+	// followed by the address arithmetic instrumentation emits for
+	// struct fields and array elements reaches k (g+16).
+	const v = 0xCAFE_F00D_0000_0001
+	long := ctypes.LongType
+	cases = append(cases,
+		trapping("aut/bad-modifier/load", TrapAuthFailure, 21, iGaddr(0, 0), iPAC(mir.PacSign, 1, 0),
+			at(21, withMod(iPAC(mir.PacAuth, 2, 1), 6)), at(22, iLoad(3, 2, long)), iRet(3)),
+		trapping("aut/load/unmapped", TrapOutOfBounds, 32, iConst(0, 0x18), iPAC(mir.PacSign, 1, 0),
+			at(31, iPAC(mir.PacAuth, 2, 1)), at(32, iLoad(3, 2, long)), iRet(3)),
+		straight("pac/store/load/aut", 0x1234, iGaddr(0, 0), iConst(1, 0x1234), iPAC(mir.PacSign, 2, 1),
+			iStore(0, 2, long), iLoad(3, 0, long), iPAC(mir.PacAuth, 4, 3), iRet(4)),
+		straight("aut/fieldaddr/load", v, iGaddr(0, 2), iConst(1, v), iStore(0, 1, long),
+			iGaddr(2, 0), iPAC(mir.PacSign, 3, 2), iPAC(mir.PacAuth, 4, 3), iField(5, 4, 16), iLoad(6, 5, long), iRet(6)),
+		straight("aut/indexaddr/store", v, iGaddr(0, 0), iConst(1, 2), iConst(2, v),
+			iPAC(mir.PacSign, 3, 0), iPAC(mir.PacAuth, 4, 3), iIndex(5, 4, 1, 8), iStore(5, 2, long),
+			iGaddr(6, 2), iLoad(7, 6, long), iRet(7)),
+	)
+
+	// An alloca of a long[2^61-1], whose size wraps to -8 in int and so
+	// compiles to 2^64-8 bytes, must trap rather than wrap the stack
+	// pointer past the check.
+	huge := mir.Instr{Op: mir.Alloca, Dst: 0, A: mir.NoReg, B: mir.NoReg, Ty: ctypes.ArrayOf(long, 1<<61-1)}
+	cases = append(cases, trapping("alloca/wraps", TrapStackOverflow, 3, at(3, huge), iConst(1, 1), iRet(1)))
+
+	// Pointer-to-pointer signing (paper §4.7.7). The outer pointer (r0, &g)
+	// carries a CE (compact equivalent) in its tag byte; pp_add registers
+	// CE 5 with FE (full equivalent) modifier 0x77 in a read-only table.
+	// An untagged outer pointer selects the static modifier (9), a tagged
+	// one its CE's FE; the Loc forms XOR in the outer pointer's address.
+	// r1 is the value signed, &k.
+	ppv := uint64(GlobalsBase + 16)
+	ppBase := []mir.Instr{iGaddr(0, 0), iGaddr(1, 2)}
+	pp := func(instrs ...mir.Instr) []mir.Instr { return append(slices.Clip(ppBase), instrs...) }
+	// ppFE first registers CE 5 and sets r2 = &g tagged with it.
+	ppFE := func(instrs ...mir.Instr) []mir.Instr {
+		return pp(append([]mir.Instr{iPPAdd(5, 0x77, 0), iTag(2, 0, 5)}, instrs...)...)
+	}
+	cases = append(cases,
+		straight("pp/untagged/round-trip", ppv, pp(iPP(mir.PPSign, 3, 0, 1, false), iPP(mir.PPAuth, 4, 0, 3, false), iRet(4))...),
+		straight("pp/untagged/static-modifier", 1, pp(iPP(mir.PPSign, 3, 0, 1, false), iPAC(mir.PacSign, 4, 1),
+			iEq(5, 3, 4), iRet(5))...),
+		straight("pp/fe/round-trip", ppv, ppFE(iPP(mir.PPSign, 3, 2, 1, false), iPP(mir.PPAuth, 4, 2, 3, false), iRet(4))...),
+		straight("pp/fe/modifier", 1, ppFE(iPP(mir.PPSign, 3, 2, 1, false), withMod(iPAC(mir.PacSign, 4, 1), 0x77),
+			iEq(5, 3, 4), iRet(5))...),
+		trapping("pp/fe/untagged-auth", TrapAuthFailure, 41, ppFE(iPP(mir.PPSign, 3, 2, 1, false),
+			at(41, iPP(mir.PPAuth, 4, 0, 3, false)), iRet(4))...),
+		// CE forgery: the value was signed under CE 5's FE, and re-tagging
+		// the outer pointer with CE 6 selects another FE.
+		trapping("pp/ce-forgery", TrapAuthFailure, 42, ppFE(iPPAdd(6, 0x66, 0), iPP(mir.PPSign, 3, 2, 1, false),
+			iTag(4, 2, 6), at(42, iPP(mir.PPAuth, 5, 4, 3, false)), iRet(5))...),
+		trapping("pp/unregistered-ce", TrapPPViolation, 43, pp(iTag(2, 0, 7),
+			at(43, iPP(mir.PPSign, 3, 2, 1, false)), iRet(3))...),
+		straight("pp/re-register/same-fe", ppv, ppFE(iPPAdd(5, 0x77, 0), iPP(mir.PPSign, 3, 2, 1, false),
+			iPP(mir.PPAuth, 4, 2, 3, false), iRet(4))...),
+		trapping("pp/re-register/other-fe", TrapPPViolation, 44, ppFE(at(44, iPPAdd(5, 0x78, 0)), iRet(1))...),
+		straight("pp/loc/round-trip", ppv, ppFE(iPP(mir.PPSign, 3, 2, 1, true), iPP(mir.PPAuth, 4, 2, 3, true), iRet(4))...),
+		straight("pp/loc/modifier", 1, pp(iPP(mir.PPSign, 3, 0, 1, true), withMod(iPAC(mir.PacSign, 4, 1), 9^GlobalsBase),
+			iEq(5, 3, 4), iRet(5))...),
+		// The same FE, but the outer pointer is now &k, another slot.
+		trapping("pp/loc/copy", TrapAuthFailure, 45, ppFE(iPP(mir.PPSign, 3, 2, 1, true), iTag(4, 1, 5),
+			at(45, iPP(mir.PPAuth, 5, 4, 3, true)), iRet(5))...),
+		// CE 5's entry names CE 3 as the next level down: pp_auth plants it
+		// in the authenticated pointer's tag byte.
+		straight("pp/inner-ce", ppv|3<<56, pp(iPPAdd(5, 0x77, 3), iTag(2, 0, 5), iPP(mir.PPSign, 3, 2, 1, false),
+			iPP(mir.PPAuth, 4, 2, 3, false), iRet(4))...),
+	)
 
 	// Every BinSub.
 	ia, ib := int64(-7), int64(3)

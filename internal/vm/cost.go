@@ -46,31 +46,15 @@ type Stats struct {
 	PACCacheHits   int64
 	PACCacheMisses int64
 
-	// Superinstruction dispatch counters: executions of fused groups.
-	// Host-side observability only — fused groups charge exactly the
-	// per-op counts and cycles of their unfused twins. FusedInstrs is the
-	// total number of instructions that executed inside some fused group
-	// (2 per pair, 3 per aut+addr+access triple).
-	FusedAuthLoads      int64
-	FusedSignStores     int64
-	FusedAuthStores     int64
-	FusedAuthAddrLoads  int64
-	FusedAuthAddrStores int64
-	FusedInstrs         int64
+	// Deprecated: FusedInstrs counted instructions dispatched inside
+	// fused superinstruction groups, which no longer exist; it is
+	// always 0.
+	FusedInstrs int64
 
 	// Deprecated: ThreadedInstrs counted instructions retired by the
 	// direct-threaded execution tier, which no longer exists; it is
 	// always 0.
 	ThreadedInstrs int64
-}
-
-// FusedShare returns the fraction of executed instructions dispatched
-// inside fused superinstruction groups.
-func (s *Stats) FusedShare() float64 {
-	if s.Instrs == 0 {
-		return 0
-	}
-	return float64(s.FusedInstrs) / float64(s.Instrs)
 }
 
 // PACOps returns the total number of PA instructions executed.

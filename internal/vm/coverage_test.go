@@ -185,6 +185,21 @@ func TestHeapExhaustion(t *testing.T) {
 	}
 }
 
+// TestMallocSizeCannotWrap: a request that wraps when rounded up to 16
+// bytes, or that would wrap the heap pointer, fails as heap exhaustion
+// and leaves the heap as it was.
+func TestMallocSizeCannotWrap(t *testing.T) {
+	for _, size := range []uint64{1<<64 - 1, 1<<64 - 256} {
+		m := New(formProg(oneBlock("main", 0)), DefaultOptions())
+		if _, err := m.malloc(size); err == nil || !strings.Contains(err.Error(), "heap exhausted") {
+			t.Errorf("malloc(%#x): err = %v, want heap exhaustion", size, err)
+		}
+		if addr, err := m.malloc(16); err != nil || addr != HeapBase {
+			t.Errorf("malloc(16) after malloc(%#x) = %#x, %v; want the heap's first block", size, addr, err)
+		}
+	}
+}
+
 func TestCallNamedFunctionDirectly(t *testing.T) {
 	f, err := cminor.Frontend(`
 		long add3(long a, long b, long c) { return a + b + c; }

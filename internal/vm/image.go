@@ -42,8 +42,6 @@ type Image struct {
 	// load and store; each Machine carries a sites-long table of
 	// last-resolved memory segments.
 	sites uint32
-
-	fused FuseCounts // static superinstruction groups
 }
 
 // NewImage compiles prog into a shareable execution image. prog must
@@ -130,14 +128,20 @@ func dataLayout(prog *mir.Program) (globalAddr, stringAddr []uint64, gseg, sseg 
 // The chunk table maps each 256 MiB chunk to one segment, so the globals
 // segment must end by StringsBase and the strings segment by HeapBase; a
 // program that overflows either would have its in-bounds accesses
-// resolve into the next segment. A negative size is an array size that
-// overflowed int.
+// resolve into the next segment. It lays the globals out as dataLayout
+// does and fails as soon as the running size passes the segment, before
+// an addition can wrap; a negative size is an array size that overflowed
+// int.
 func CheckDataLayout(prog *mir.Program) error {
-	_, _, gseg, sseg := dataLayout(prog)
-	if gseg < 0 || gseg > StringsBase-GlobalsBase {
-		return fmt.Errorf("globals overflow their %d-byte segment", StringsBase-GlobalsBase)
+	gseg := 0
+	for _, g := range prog.Globals {
+		a, n := g.Type.Align(), g.Type.Size()
+		if gseg = (gseg + a - 1) / a * a; n < 0 || n > StringsBase-GlobalsBase-dataPad-gseg {
+			return fmt.Errorf("global %s overflows the %d-byte globals segment", g.Name, StringsBase-GlobalsBase)
+		}
+		gseg += n
 	}
-	if sseg > HeapBase-StringsBase {
+	if _, _, _, sseg := dataLayout(prog); sseg > HeapBase-StringsBase {
 		return fmt.Errorf("string constants need %d bytes, over their %d-byte segment", sseg, HeapBase-StringsBase)
 	}
 	return nil
@@ -145,13 +149,3 @@ func CheckDataLayout(prog *mir.Program) error {
 
 // Prog returns the program the image was built from.
 func (img *Image) Prog() *mir.Program { return img.prog }
-
-// FusedPairs reports the static number of adjacent aut+load and pac+store
-// pairs marked for fused dispatch (the original two-instruction
-// superinstructions; see FusedGroups for the widened set).
-func (img *Image) FusedPairs() (authLoads, signStores int) {
-	return img.fused.AuthLoads, img.fused.SignStores
-}
-
-// FusedGroups reports all static superinstruction groups, by kind.
-func (img *Image) FusedGroups() FuseCounts { return img.fused }

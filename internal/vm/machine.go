@@ -103,9 +103,9 @@ type Machine struct {
 	// so steady-state execution allocates nothing per call) and the
 	// arg-marshalling scratch stack — per-machine by default, shared and
 	// persistent when an engine worker supplies its WorkerState; img
-	// holds the immutable execution image (compiled code incl. fused
-	// superinstruction heads, function tokens, static data layout),
-	// shared across machines when Options.Image supplies one.
+	// holds the immutable execution image (compiled code, function
+	// tokens, static data layout), shared across machines when
+	// Options.Image supplies one.
 	ws  *WorkerState
 	img *Image
 
@@ -152,20 +152,6 @@ type frame struct {
 type varSlot struct {
 	pc   int32
 	addr uint64
-}
-
-// FuseCounts tallies the static fused groups of one image, by kind.
-type FuseCounts struct {
-	AuthLoads      int
-	SignStores     int
-	AuthStores     int
-	AuthAddrLoads  int
-	AuthAddrStores int
-}
-
-// Total returns the number of marked groups.
-func (c FuseCounts) Total() int {
-	return c.AuthLoads + c.SignStores + c.AuthStores + c.AuthAddrLoads + c.AuthAddrStores
 }
 
 // New builds a Machine for prog.
@@ -495,20 +481,6 @@ func (m *Machine) trapAt(kind TrapKind, fc *funcCode, pc int, format string, arg
 	return m.trap(kind, fc.fn, fc.instrAt(pc), format, args...)
 }
 
-// step admits one instruction of a fused group exactly as the main loop
-// admits every instruction (see exec), so a fused group's accounting and
-// trap attribution are those of separate dispatch.
-func (m *Machine) step(fc *funcCode, pc int, op xop) error {
-	m.steps++
-	if m.steps >= m.check {
-		if err := m.checkpoint(fc, pc); err != nil {
-			return err
-		}
-	}
-	m.ops[op]++
-	return nil
-}
-
 // checkpoint is the step loop's slow path, taken when steps reaches
 // check. A block that ends without a terminator traps first, taking its
 // step back, as it always has: falling off a block is never charged and
@@ -630,7 +602,7 @@ func (m *Machine) run(fc *funcCode, fr *frame) (uint64, error) {
 			regs[c.dst] = c.imm
 		case xAlloca, xAllocaVar:
 			size := c.imm
-			if m.stackNext+size > m.stackEnd {
+			if size > m.stackEnd-m.stackNext { // stackNext+size can wrap
 				return 0, m.trapAt(TrapStackOverflow, fc, pc, "stack segment exhausted")
 			}
 			addr := m.stackNext
@@ -646,10 +618,10 @@ func (m *Machine) run(fc *funcCode, fr *frame) (uint64, error) {
 			}
 
 		// One arm per access form, so the width is a constant and ld/st
-		// fold to a single move. On a 2-vCPU Xeon, sharing
-		// loadTail/storeTail instead ran the Figure 9 suite 14% slower
-		// (12 of 12 paired runs), and one load arm and one store arm
-		// switching on the form 11% slower (5 of 6).
+		// fold to a single move. On a 2-vCPU Xeon, one shared load helper
+		// and one shared store helper instead ran the Figure 9 suite 14%
+		// slower (12 of 12 paired runs), and one load arm and one store
+		// arm switching on the form 11% slower (5 of 6).
 		case xLoad1:
 			b := m.load(regs[c.a], c.imm, 1)
 			if b == nil {
@@ -861,99 +833,13 @@ func (m *Machine) run(fc *funcCode, fr *frame) (uint64, error) {
 
 		case xPacSign:
 			regs[c.dst] = m.Unit.Sign(regs[c.a], pa.KeyID(c.key), modifier(c, regs))
-		case xPacSignStore:
-			// Fused pac+store superinstruction: dispatch the adjacent
-			// store in the same switch arm. Accounting and trap
-			// attribution are those of two separate instructions (a
-			// memory fault names the store, not the sign).
-			regs[c.dst] = m.Unit.Sign(regs[c.a], pa.KeyID(c.key), modifier(c, regs))
-			pc++
-			c = &code[pc]
-			if err := m.step(fc, pc, c.op); err != nil {
-				return 0, err
-			}
-			m.Stats.FusedSignStores++
-			m.Stats.FusedInstrs += 2
-			if err := m.storeTail(c, regs, fc, pc); err != nil {
-				return 0, err
-			}
 		case xPacAuth:
-			v, err := m.auth(c, regs, fc, pc)
-			if err != nil {
-				return 0, err
+			mod := modifier(c, regs)
+			v, ok := m.Unit.Auth(regs[c.a], pa.KeyID(c.key), mod)
+			if !ok {
+				return 0, m.trapAt(TrapAuthFailure, fc, pc, "aut failed on %#x (mod %#x)", regs[c.a], mod)
 			}
 			regs[c.dst] = v
-		// Fused aut heads. An authentication failure traps naming the
-		// aut; each fused follower is admitted by step, so accounting and
-		// trap attribution stay bit-identical to separate dispatch (a
-		// memory fault names the load/store, never the aut).
-		case xAuthLoad:
-			v, err := m.auth(c, regs, fc, pc)
-			if err != nil {
-				return 0, err
-			}
-			regs[c.dst] = v
-			pc++
-			c = &code[pc]
-			if err := m.step(fc, pc, c.op); err != nil {
-				return 0, err
-			}
-			m.Stats.FusedAuthLoads++
-			m.Stats.FusedInstrs += 2
-			if err := m.loadTail(c, regs, fc, pc); err != nil {
-				return 0, err
-			}
-		case xAuthStore:
-			v, err := m.auth(c, regs, fc, pc)
-			if err != nil {
-				return 0, err
-			}
-			regs[c.dst] = v
-			pc++
-			c = &code[pc]
-			if err := m.step(fc, pc, c.op); err != nil {
-				return 0, err
-			}
-			m.Stats.FusedAuthStores++
-			m.Stats.FusedInstrs += 2
-			if err := m.storeTail(c, regs, fc, pc); err != nil {
-				return 0, err
-			}
-		case xAuthAddrLoad, xAuthAddrStore:
-			head := c.op
-			v, err := m.auth(c, regs, fc, pc)
-			if err != nil {
-				return 0, err
-			}
-			regs[c.dst] = v
-			// Address computation off the authenticated pointer.
-			pc++
-			c = &code[pc]
-			if err := m.step(fc, pc, c.op); err != nil {
-				return 0, err
-			}
-			if c.op == xFieldAddr {
-				regs[c.dst] = regs[c.a] + c.imm
-			} else {
-				regs[c.dst] = regs[c.a] + uint64(int64(regs[c.b])*int64(c.imm))
-			}
-			// The access itself.
-			pc++
-			c = &code[pc]
-			if err := m.step(fc, pc, c.op); err != nil {
-				return 0, err
-			}
-			m.Stats.FusedInstrs += 3
-			if head == xAuthAddrLoad {
-				m.Stats.FusedAuthAddrLoads++
-				err = m.loadTail(c, regs, fc, pc)
-			} else {
-				m.Stats.FusedAuthAddrStores++
-				err = m.storeTail(c, regs, fc, pc)
-			}
-			if err != nil {
-				return 0, err
-			}
 		case xPacStrip:
 			regs[c.dst] = m.Unit.Strip(regs[c.a])
 
@@ -1012,46 +898,6 @@ func (m *Machine) call(callee *funcCode, c *xinstr, regs []uint64) (uint64, erro
 	ret, err := m.exec(callee, m.ws.argScratch[base:])
 	m.ws.argScratch = m.ws.argScratch[:base]
 	return ret, err
-}
-
-// auth executes a pac-auth record (a fused head's or a plain one) and
-// traps naming it when authentication fails.
-func (m *Machine) auth(c *xinstr, regs []uint64, fc *funcCode, pc int) (uint64, error) {
-	mod := modifier(c, regs)
-	v, ok := m.Unit.Auth(regs[c.a], pa.KeyID(c.key), mod)
-	if !ok {
-		return 0, m.trapAt(TrapAuthFailure, fc, pc, "aut failed on %#x (mod %#x)", regs[c.a], mod)
-	}
-	return v, nil
-}
-
-// loadTail executes the load record that closes a fused group, with the
-// value semantics of the interpreter's own load arms.
-func (m *Machine) loadTail(c *xinstr, regs []uint64, fc *funcCode, pc int) error {
-	n := width[c.op]
-	b := m.load(regs[c.a], c.imm, n)
-	if b == nil {
-		var err error
-		if b, err = m.resolve(regs[c.a], c.imm, n, false, fc, pc); err != nil {
-			return err
-		}
-	}
-	regs[c.dst] = ld(c.op, b)
-	return nil
-}
-
-// storeTail is loadTail's store half.
-func (m *Machine) storeTail(c *xinstr, regs []uint64, fc *funcCode, pc int) error {
-	n := width[c.op]
-	b := m.store(regs[c.a], c.imm, n)
-	if b == nil {
-		var err error
-		if b, err = m.resolve(regs[c.a], c.imm, n, true, fc, pc); err != nil {
-			return err
-		}
-	}
-	st(c.op, b, regs[c.b])
-	return nil
 }
 
 // modifier computes a PA modifier: the static part, XORed with the

@@ -1,11 +1,14 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"rsti/internal/cminor"
+	"rsti/internal/ctypes"
 	"rsti/internal/lower"
+	"rsti/internal/mir"
 )
 
 // run compiles src (uninstrumented) and executes it, returning main's exit
@@ -406,6 +409,20 @@ func TestWildPointerTraps(t *testing.T) {
 	tr, ok := AsTrap(err)
 	if !ok || tr.Kind != TrapOutOfBounds {
 		t.Errorf("err = %v, want out-of-bounds trap", err)
+	}
+}
+
+// TestCheckDataLayoutStopsAtOverflow: four 2^62-byte globals add up to
+// 2^64, so a running size that wraps back to 0 let them through and put
+// a following long on top of the first.
+func TestCheckDataLayoutStopsAtOverflow(t *testing.T) {
+	var prog mir.Program
+	for i := range 4 {
+		prog.Globals = append(prog.Globals, &mir.Global{Name: fmt.Sprintf("g%d", i+1), Type: ctypes.ArrayOf(ctypes.CharType, 1<<62)})
+	}
+	prog.Globals = append(prog.Globals, &mir.Global{Name: "x", Type: ctypes.LongType})
+	if err := CheckDataLayout(&prog); err == nil {
+		t.Fatal("CheckDataLayout accepted 2^64 bytes of globals")
 	}
 }
 

@@ -2,9 +2,10 @@ package workload
 
 // PACDense returns the PAC-dense microbenchmark: a pointer-chasing
 // kernel whose hot loop is dominated by instrumented loads and stores, so
-// almost every dispatched instruction sits next to a pac/aut. That is the worst case for interpreter dispatch
-// overhead and therefore the best case for measuring the sign/store and
-// auth/load superinstruction fast path.
+// almost every executed instruction sits next to a pac/aut. It was built
+// to measure the interpreter's superinstruction fusion, since retired;
+// it stays as one of the optimizer's pinned builds
+// (TestOptimizedProgramsGolden in internal/opt).
 func PACDense() *Benchmark {
 	return Generate(Config{
 		Name: "pac-dense", Suite: "micro",

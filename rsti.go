@@ -259,8 +259,7 @@ func (p *Program) DumpOptimizedIR(mech Mechanism) (string, error) {
 type OptimizerStats = opt.Stats
 
 // PACOpStats reports one mechanism's static PAC-op accounting: what
-// instrumentation emitted, what the optimizer elided or deleted, and how
-// many pairs the VM predecoder fused for single-dispatch execution.
+// instrumentation emitted and what the optimizer elided or deleted.
 type PACOpStats struct {
 	Mechanism Mechanism
 	Optimized bool
@@ -275,22 +274,6 @@ type PACOpStats struct {
 	ElidedAuths    int // aut sites skipped for elided slots
 	RedundantAuths int // aut instructions deleted by the availability pass
 	ElidableVars   int // variables proven safe to leave unsigned
-
-	// Superinstruction groups predecode marked for fused dispatch: the
-	// original adjacent pairs plus the widened aut+store and
-	// aut+fieldaddr/indexaddr+load/store shapes.
-	FusedAuthLoads      int
-	FusedSignStores     int
-	FusedAuthStores     int
-	FusedAuthAddrLoads  int
-	FusedAuthAddrStores int
-}
-
-// FusedGroups returns the total number of superinstruction groups marked
-// in the build.
-func (s *PACOpStats) FusedGroups() int {
-	return s.FusedAuthLoads + s.FusedSignStores + s.FusedAuthStores +
-		s.FusedAuthAddrLoads + s.FusedAuthAddrStores
 }
 
 // PACOps returns the static PAC ops present in the build.
@@ -303,20 +286,14 @@ func (p *Program) PACOpStats(mech Mechanism, optimized bool) (*PACOpStats, error
 	if err != nil {
 		return nil, err
 	}
-	fg := b.Image().FusedGroups()
 	s := &PACOpStats{
-		Mechanism:           mech,
-		Optimized:           b.Optimized,
-		Signs:               b.Stats.Signs,
-		Auths:               b.Stats.Auths,
-		Strips:              b.Stats.Strips,
-		ElidedSigns:         b.Stats.ElidedSigns,
-		ElidedAuths:         b.Stats.ElidedAuths,
-		FusedAuthLoads:      fg.AuthLoads,
-		FusedSignStores:     fg.SignStores,
-		FusedAuthStores:     fg.AuthStores,
-		FusedAuthAddrLoads:  fg.AuthAddrLoads,
-		FusedAuthAddrStores: fg.AuthAddrStores,
+		Mechanism:   mech,
+		Optimized:   b.Optimized,
+		Signs:       b.Stats.Signs,
+		Auths:       b.Stats.Auths,
+		Strips:      b.Stats.Strips,
+		ElidedSigns: b.Stats.ElidedSigns,
+		ElidedAuths: b.Stats.ElidedAuths,
 	}
 	if b.OptStats != nil {
 		s.Auths -= b.OptStats.RedundantAuths
