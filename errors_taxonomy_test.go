@@ -136,6 +136,18 @@ int main(void){ g1[0] = 9; return x; }`)
 			isNot: []error{rsti.ErrParse, rsti.ErrStepBudget},
 		},
 		{
+			// A field of a struct type defined later has no size yet; laid
+			// out as size 0, it overlapped the next field.
+			name: "compile/incomplete-field",
+			produce: func(t *testing.T) error {
+				_, err := rsti.Compile("struct a { struct b x; long y; }; struct b { long p; long q; };" +
+					"int main(void){ struct a v; v.x.p = 1; v.y = 2; return v.x.p; }")
+				return err
+			},
+			is:    []error{rsti.ErrParse},
+			isNot: []error{rsti.ErrTypeCheck, rsti.ErrStepBudget},
+		},
+		{
 			name: "run/step-budget",
 			produce: func(t *testing.T) error {
 				res, err := p.Run(rsti.None, rsti.WithStepBudget(50))

@@ -107,6 +107,30 @@ func TestCheckerAccepts(t *testing.T) {
 	}
 }
 
+// TestStructFieldOfIncompleteType: a struct used by value before it is
+// defined has no size yet, so a field of its type is an error, as in C;
+// laid out as size 0, x overlapped y and this program returned 2. A
+// pointer to it is a complete type.
+func TestStructFieldOfIncompleteType(t *testing.T) {
+	expectCheckError(t, `
+		struct a { struct b x; long y; };
+		struct b { long p; long q; };
+		int main(void) { struct a v; v.x.p = 1; v.y = 2; return v.x.p; }
+	`, "field x of struct a has incomplete type struct b")
+	expectCheckError(t, `
+		struct a { struct b xs[2]; long y; };
+		struct b { long p; };
+		int main(void) { return 0; }
+	`, "incomplete type struct b")
+	if _, err := Frontend(`
+		struct a { struct b *x; long y; };
+		struct b { long p; long q; };
+		int main(void) { struct a v; struct b w; v.x = &w; v.x->p = 1; v.y = 2; return v.x->p; }
+	`); err != nil {
+		t.Errorf("pointer to a later struct rejected: %v", err)
+	}
+}
+
 func TestCheckerFunctionRedefinition(t *testing.T) {
 	expectCheckError(t, `
 		int f(void) { return 1; }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"rsti/internal/mir"
 	"rsti/internal/sti"
+	"rsti/internal/workload"
 )
 
 const hammerSrc = `
@@ -85,8 +87,8 @@ func TestBuildHammerExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := results[0][mi].Prog.String(), sb.Prog.String(); got != want {
-			t.Errorf("%s: hammered build differs from serial build", mech)
+		if !reflect.DeepEqual(results[0][mi].Image(), sb.Image()) {
+			t.Errorf("%s: hammered build's image differs from serial build's", mech)
 		}
 		if *results[0][mi].Stats != *sb.Stats {
 			t.Errorf("%s: stats diverge: %+v vs %+v", mech, *results[0][mi].Stats, *sb.Stats)
@@ -134,14 +136,15 @@ func TestBuildAllMatchesBuild(t *testing.T) {
 // wide, so a scratch handed to two users at once, or handed back dirty
 // after a failed compile, shows up here as a differing program.
 func TestConcurrentCompilesShareScratch(t *testing.T) {
-	srcs := []string{hammerSrc, perfbenchShaped(0), perfbenchShaped(1), perfbenchShaped(13)}
+	shapes := workload.ServingShapes()
+	srcs := []string{hammerSrc, shapes[0].Source, shapes[1].Source, shapes[13].Source}
 	bad := []string{"int main(void { return 0; }", "int main(void) { return undeclared; }"}
 	encode := func(c *Compilation) (lowered, built string, err error) {
-		b, err := c.BuildMode(sti.STWC, false)
+		p, _, _, err := c.Derive(sti.STWC, false)
 		if err != nil {
 			return "", "", err
 		}
-		return string(mir.AppendProgram(nil, c.Prog)), string(mir.AppendProgram(nil, b.Prog)), nil
+		return string(mir.AppendProgram(nil, c.Prog)), string(mir.AppendProgram(nil, p)), nil
 	}
 	wantLowered := make([]string, len(srcs))
 	wantBuilt := make([]string, len(srcs))

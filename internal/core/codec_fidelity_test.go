@@ -164,13 +164,13 @@ func TestCodecFieldFidelity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := comp.BuildMode(sti.STL, false)
+		p, _, _, err := comp.Derive(sti.STL, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seen := map[mir.Op]bool{}
 		var mod, key, ce bool
-		for _, f := range b.Prog.Funcs {
+		for _, f := range p.Funcs {
 			for _, blk := range f.Blocks {
 				for _, in := range blk.Instrs {
 					seen[in.Op] = true
@@ -186,10 +186,10 @@ func TestCodecFieldFidelity(t *testing.T) {
 		if !mod || !key || !ce {
 			t.Errorf("STL build lacks a nonzero Mod (%v), Key (%v) or CE (%v)", mod, key, ce)
 		}
-		dec, err := mir.DecodeProgram(mir.AppendProgram(nil, b.Prog))
+		dec, err := mir.DecodeProgram(mir.AppendProgram(nil, p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFidelity(t, b.Prog, dec)
+		checkFidelity(t, p, dec)
 	})
 }

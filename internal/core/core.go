@@ -32,7 +32,6 @@ import (
 // build in parallel and duplicate Build(mech) calls block only on their
 // own mechanism.
 type Compilation struct {
-	File     *cminor.File
 	Prog     *mir.Program
 	Analysis *sti.Analysis
 
@@ -66,10 +65,12 @@ type buildCell struct {
 	err  error
 }
 
-// Build is one protected (or baseline) executable image.
+// Build is one protected (or baseline) flavour of a compilation, kept as
+// what runs: its execution image, plus what instrumentation and the
+// optimizer counted. The instrumented program the image was compiled
+// from is not kept; Compilation.Derive re-derives it.
 type Build struct {
 	Mechanism sti.Mechanism
-	Prog      *mir.Program
 	Stats     *rsti.Stats
 
 	// Optimized reports that the PAC elision optimizer processed this
@@ -77,20 +78,14 @@ type Build struct {
 	Optimized bool
 	OptStats  *opt.Stats
 
-	// img is the shared predecoded execution image, built once on first
-	// use: every Program.Run caller and engine worker executing this
-	// build dispatches from the same predecode.
-	imgOnce sync.Once
-	img     *vm.Image
+	// img is the shared execution image, compiled when the build is:
+	// every Program.Run caller and engine worker executing this build
+	// dispatches from it.
+	img *vm.Image
 }
 
-// Image returns the build's shared execution image, predecoding on first
-// call. Concurrent callers coalesce on the once-cell, mirroring the build
-// coalescing one level up.
-func (b *Build) Image() *vm.Image {
-	b.imgOnce.Do(func() { b.img = vm.NewImage(b.Prog) })
-	return b.img
-}
+// Image returns the build's shared execution image.
+func (b *Build) Image() *vm.Image { return b.img }
 
 // ImageFor returns Image.
 //
@@ -174,7 +169,6 @@ func Compile(src string) (*Compilation, error) {
 		return nil, fmt.Errorf("layout: %w: %w", ErrTypeCheck, err)
 	}
 	return &Compilation{
-		File:     f,
 		Prog:     prog,
 		Analysis: sti.Analyze(prog),
 		builds:   make(map[buildKey]*buildCell),
@@ -186,8 +180,7 @@ func Compile(src string) (*Compilation, error) {
 // static data layout (see Compile), reruns the STI analysis
 // (deterministic, so PAC modifiers and scope metadata come out exactly
 // as the original compile produced them), and leaves builds to
-// materialize lazily, exactly as after Compile. The frontend AST is not
-// reconstructed (File is nil); nothing downstream of Compile reads it.
+// materialize lazily, exactly as after Compile.
 func FromProgram(prog *mir.Program) (*Compilation, error) {
 	if err := prog.Verify(); err != nil {
 		return nil, fmt.Errorf("reloaded program: %w", err)
@@ -236,13 +229,12 @@ func (c *Compilation) Build(mech sti.Mechanism) (*Build, error) {
 
 // BuildMode instruments the program under the given mechanism, exactly
 // once per (mechanism, optimized) pair no matter how many goroutines race
-// here. Concurrent calls for the same key coalesce on its once-cell;
-// calls for different keys never block each other. An optimized build
-// applies the PAC elision set during instrumentation and the
-// redundant-authentication pass after it. The baseline (sti.None) has no
-// PAC traffic, so its optimized build is the unoptimized one, and it runs
-// the compilation's own program: nothing rewrites a build that is neither
-// instrumented nor optimized.
+// here, and compiles the result to its execution image. Concurrent calls
+// for the same key coalesce on its once-cell; calls for different keys
+// never block each other. The build keeps the image and the pass
+// statistics: the instrumented program (see Derive) is garbage once its
+// image is compiled. The baseline (sti.None) has no PAC traffic, so its
+// optimized build is the unoptimized one.
 func (c *Compilation) BuildMode(mech sti.Mechanism, optimized bool) (*Build, error) {
 	if mech == sti.None {
 		optimized = false
@@ -250,38 +242,52 @@ func (c *Compilation) BuildMode(mech sti.Mechanism, optimized bool) (*Build, err
 	cl := c.cell(buildKey{mech: mech, optimized: optimized})
 	cl.once.Do(func() {
 		c.instrumentCalls.Add(1)
-		if mech == sti.None {
-			cl.b = &Build{Mechanism: mech, Prog: c.Prog, Stats: &rsti.Stats{}}
-			return
-		}
-		opts := rsti.Options{}
-		if optimized {
-			// The base candidate set is mechanism-independent; the coupling
-			// refinement drops candidates whose elision would insert
-			// boundary sign/auth ops under this mechanism's class merging.
-			opts.Elide = c.elideSet(mech)
-		}
-		prog, stats, err := rsti.InstrumentWithOptions(c.Prog, c.Analysis, mech, opts)
+		prog, stats, optStats, err := c.Derive(mech, optimized)
 		if err != nil {
 			cl.err = err
 			return
 		}
-		b := &Build{Mechanism: mech, Prog: prog, Stats: stats, Optimized: optimized}
-		if optimized {
-			b.OptStats = opt.Optimize(prog, mech)
-			for _, e := range opts.Elide {
-				if e {
-					b.OptStats.ElidableVars++
-				}
-			}
-			if err := prog.Verify(); err != nil {
-				cl.err = fmt.Errorf("opt: optimized program fails verification: %w", err)
-				return
-			}
-		}
-		cl.b = b
+		cl.b = &Build{Mechanism: mech, Stats: stats, Optimized: optimized, OptStats: optStats, img: vm.NewImage(prog)}
 	})
 	return cl.b, cl.err
+}
+
+// Derive returns the program the (mech, optimized) build runs, with what
+// instrumentation and, when optimized, the PAC elision optimizer
+// counted. It is the one path from the compilation's program to a
+// flavour's: BuildMode compiles its image from Derive's program, and
+// every pass is deterministic, so a later call re-derives exactly the
+// code the build runs. Each call is a full instrumentation pass (plus an
+// optimizer pass when optimized); nothing caches its result. An
+// optimized build applies the PAC elision set during instrumentation and
+// the redundant-authentication pass after it. The baseline (sti.None)
+// inserts nothing and is never optimized, so nothing rewrites it: Derive
+// returns the compilation's own program.
+func (c *Compilation) Derive(mech sti.Mechanism, optimized bool) (*mir.Program, *rsti.Stats, *opt.Stats, error) {
+	if mech == sti.None {
+		return c.Prog, &rsti.Stats{}, nil, nil
+	}
+	opts := rsti.Options{}
+	if optimized {
+		// The base candidate set is mechanism-independent; the coupling
+		// refinement drops candidates whose elision would insert
+		// boundary sign/auth ops under this mechanism's class merging.
+		opts.Elide = c.elideSet(mech)
+	}
+	prog, stats, err := rsti.InstrumentWithOptions(c.Prog, c.Analysis, mech, opts)
+	if err != nil || !optimized {
+		return prog, stats, nil, err
+	}
+	optStats := opt.Optimize(prog, mech)
+	for _, e := range opts.Elide {
+		if e {
+			optStats.ElidableVars++
+		}
+	}
+	if err := prog.Verify(); err != nil {
+		return nil, nil, nil, fmt.Errorf("opt: optimized program fails verification: %w", err)
+	}
+	return prog, stats, optStats, nil
 }
 
 // BuildFlavor names one entry of the standard build matrix: a mechanism
@@ -331,10 +337,11 @@ func (c *Compilation) BuildAll(mechs []sti.Mechanism) ([]*Build, error) {
 	return out, nil
 }
 
-// InstrumentCalls reports how many times instrumentation actually ran —
-// the exactly-once guarantee's observable: after any number of Build
-// calls across any number of goroutines, it equals the number of
-// distinct mechanisms built.
+// InstrumentCalls reports how many builds BuildMode actually ran — the
+// exactly-once guarantee's observable: after any number of Build calls
+// across any number of goroutines, it equals the number of distinct
+// mechanisms built. Re-derivations (Derive) are not builds and are not
+// counted.
 func (c *Compilation) InstrumentCalls() int64 { return c.instrumentCalls.Load() }
 
 // RunResult is one execution's outcome.
@@ -459,15 +466,14 @@ func (c *Compilation) RunContext(ctx context.Context, mech sti.Mechanism, cfg Ru
 		cfg.Options.Output = sink
 	}
 	cfg.Options.Worker = cfg.Worker
-	cfg.Options.Image = b.Image()
 	// An engine worker's run reuses the worker's resident machine when the
 	// (image, config) shape matches — a Reset instead of a rebuild, so
 	// steady-state serving constructs nothing per run.
 	var m *vm.Machine
 	if cfg.Worker != nil {
-		m = cfg.Worker.MachineFor(b.Prog, cfg.Options)
+		m = cfg.Worker.MachineFor(b.Image(), cfg.Options)
 	} else {
-		m = vm.New(b.Prog, cfg.Options)
+		m = vm.New(b.Image(), cfg.Options)
 	}
 	m.SetContext(ctx)
 	for id, h := range cfg.Hooks {

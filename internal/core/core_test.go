@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -203,9 +204,10 @@ func TestFunctionPastSixteenBitRegisters(t *testing.T) {
 }
 
 // TestNoneBuildSharesProgram: the baseline build inserts nothing and is
-// never optimized, so nothing rewrites it. It runs the compilation's own
-// program rather than a copy, leaves that program untouched, and runs
-// exactly as a separate copy of the program does.
+// never optimized, so nothing rewrites it. It derives the compilation's
+// own program rather than a copy and compiles its image from it, leaves
+// that program untouched, and runs exactly as a separate copy of the
+// program does.
 func TestNoneBuildSharesProgram(t *testing.T) {
 	for _, name := range []string{"demo.c", "victim.c", "doubleptr.c"} {
 		src, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
@@ -222,8 +224,11 @@ func TestNoneBuildSharesProgram(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b.Prog != c.Prog {
+			if p, _, _, _ := c.Derive(sti.None, optimized); p != c.Prog {
 				t.Errorf("%s: None build (optimized %v) runs a copy of the compilation's program", name, optimized)
+			}
+			if !reflect.DeepEqual(b.Image(), vm.NewImage(c.Prog)) {
+				t.Errorf("%s: None build (optimized %v) is not compiled from the compilation's program", name, optimized)
 			}
 		}
 		ref, err := FromProgram(c.Prog.Clone())

@@ -377,7 +377,11 @@ func (tb *Table) DeclareStruct(name string) *Type {
 
 // CompleteStruct lays out the fields of a declared struct with natural
 // alignment and marks it complete. It returns an error if the struct was
-// already completed with different fields.
+// already completed with different fields, or if a field holds by value
+// (directly or as array elements) a struct that is still incomplete: its
+// size is not known yet, and C rejects it. A struct that contains itself
+// by value is such a field, since it is incomplete until its own fields
+// are laid out. A pointer to an incomplete struct is a complete type.
 func (tb *Table) CompleteStruct(name string, fields []Field) (*Type, error) {
 	s, ok := tb.structs[name]
 	if !ok {
@@ -385,6 +389,15 @@ func (tb *Table) CompleteStruct(name string, fields []Field) (*Type, error) {
 	}
 	if !s.Incomplete {
 		return nil, fmt.Errorf("ctypes: struct %s redefined", name)
+	}
+	for _, f := range fields {
+		t := f.Type
+		for t.Kind == Array {
+			t = t.Elem
+		}
+		if t.Kind == Struct && t.Incomplete {
+			return nil, fmt.Errorf("ctypes: field %s of struct %s has incomplete type struct %s", f.Name, name, t.Name)
+		}
 	}
 	off := 0
 	laid := make([]Field, len(fields))

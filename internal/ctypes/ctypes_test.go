@@ -30,7 +30,11 @@ func TestCheckSize(t *testing.T) {
 	tb := NewTable()
 	node, _ := tb.CompleteStruct("node", []Field{{Name: "next", Type: PointerTo(tb.DeclareStruct("node"))}})
 	two, _ := tb.CompleteStruct("two", []Field{{Name: "a", Type: ArrayOf(CharType, MaxSize)}, {Name: "b", Type: CharType}})
-	self, _ := tb.CompleteStruct("self", []Field{{Name: "x", Type: tb.DeclareStruct("self")}})
+	// The table refuses to build a struct that contains itself by value
+	// (see TestCompleteStructRejectsIncompleteField); a decoded program
+	// can still carry one.
+	self := &Type{Kind: Struct, Name: "self"}
+	self.Fields = []Field{{Name: "x", Type: self}}
 	for _, tc := range []struct {
 		ty   *Type
 		fits bool
@@ -49,6 +53,32 @@ func TestCheckSize(t *testing.T) {
 		if err := CheckSize(tc.ty); (err == nil) != tc.fits {
 			t.Errorf("CheckSize(%s) = %v, want fits=%v", tc.ty, err, tc.fits)
 		}
+	}
+}
+
+// TestCompleteStructRejectsIncompleteField: a field that holds a still
+// incomplete struct by value, directly or as array elements, has no size
+// yet, so CompleteStruct refuses it and leaves the struct incomplete; a
+// struct holding itself is one such field. A pointer to an incomplete
+// struct is fine.
+func TestCompleteStructRejectsIncompleteField(t *testing.T) {
+	tb := NewTable()
+	fwd := tb.DeclareStruct("b")
+	for _, f := range []Field{
+		{Name: "x", Type: fwd},
+		{Name: "xs", Type: ArrayOf(ArrayOf(fwd, 2), 3)},
+		{Name: "self", Type: tb.DeclareStruct("a")},
+	} {
+		if _, err := tb.CompleteStruct("a", []Field{f, {Name: "y", Type: LongType}}); err == nil {
+			t.Errorf("field %s of incomplete type accepted", f.Name)
+		}
+	}
+	a, err := tb.CompleteStruct("a", []Field{{Name: "x", Type: PointerTo(fwd)}, {Name: "y", Type: LongType}})
+	if err != nil {
+		t.Fatalf("pointer to an incomplete struct rejected: %v", err)
+	}
+	if a.Size() != 16 || a.Fields[1].Offset != 8 {
+		t.Errorf("struct a: size %d, y at %d; want 16 and 8", a.Size(), a.Fields[1].Offset)
 	}
 }
 

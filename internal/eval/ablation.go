@@ -59,7 +59,7 @@ func MeasurePPAblation() (*PPAblation, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		m := vm.New(inst, vm.DefaultOptions())
+		m := vm.New(vm.NewImage(inst), vm.DefaultOptions())
 		_, runErr := m.Run()
 		return m, runErr, nil
 	}
@@ -161,7 +161,7 @@ func MeasureAdaptiveAblation() (*AdaptiveAblation, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := vm.New(inst, vm.DefaultOptions())
+		m := vm.New(vm.NewImage(inst), vm.DefaultOptions())
 		if _, err := m.Run(); err != nil {
 			return nil, fmt.Errorf("%s: %w", mech, err)
 		}

@@ -83,8 +83,8 @@ func BenchmarkPipelineInstrument(b *testing.B) {
 
 // stwcBuild is a Figure 9 benchmark (SPEC2017's first, about 1,500 IR
 // instructions) instrumented under STWC with the optimizer off, the
-// shape of most runs batch-figure9 times.
-func stwcBuild(b *testing.B) *core.Build {
+// shape of most runs batch-figure9 times: its compilation and build.
+func stwcBuild(b *testing.B) (*core.Compilation, *core.Build) {
 	b.Helper()
 	c, err := core.Compile(workload.SPEC2017()[0].Source)
 	if err != nil {
@@ -94,7 +94,7 @@ func stwcBuild(b *testing.B) *core.Build {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return build
+	return c, build
 }
 
 // BenchmarkPipelineInterpreter measures interpreter throughput in
@@ -102,14 +102,13 @@ func stwcBuild(b *testing.B) *core.Build {
 // way batch-figure9 executes one: the build's shared image on a worker's
 // resident machine.
 func BenchmarkPipelineInterpreter(b *testing.B) {
-	build := stwcBuild(b)
+	_, build := stwcBuild(b)
 	ws := vm.NewWorkerState()
 	opts := vm.DefaultOptions()
-	opts.Image = build.Image()
 	b.ResetTimer()
 	var instrs int64
 	for i := 0; i < b.N; i++ {
-		m := ws.MachineFor(build.Prog, opts)
+		m := ws.MachineFor(build.Image(), opts)
 		if _, err := m.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -123,9 +122,13 @@ func BenchmarkPipelineInterpreter(b *testing.B) {
 // and on every serve-cold request. ir_instrs relates B/op to the
 // program's size.
 func BenchmarkNewImage(b *testing.B) {
-	build := stwcBuild(b)
+	c, _ := stwcBuild(b)
+	prog, _, _, err := c.Derive(sti.STWC, false)
+	if err != nil {
+		b.Fatal(err)
+	}
 	n := 0
-	for _, f := range build.Prog.Funcs {
+	for _, f := range prog.Funcs {
 		for _, blk := range f.Blocks {
 			n += len(blk.Instrs)
 		}
@@ -133,7 +136,7 @@ func BenchmarkNewImage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		imageSink = vm.NewImage(build.Prog)
+		imageSink = vm.NewImage(prog)
 	}
 	b.ReportMetric(float64(n), "ir_instrs")
 }

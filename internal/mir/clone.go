@@ -68,13 +68,14 @@ func (p *Program) Clone() *Program {
 // rsti) starts from a shell and never pays for copying instruction arrays
 // it would immediately discard. Func order, block order/indices and
 // register counts match the source, so source and shell can be walked in
-// lockstep.
+// lockstep. Globals, Vars, Strings and Types are the source's own: no
+// pass over a shell adds to or rewrites them.
 func (p *Program) CloneShell() *Program {
 	q := &Program{
 		ByName:  make(map[string]*Func, len(p.ByName)),
 		Globals: p.Globals,
 		Vars:    p.Vars,
-		Strings: append([]string(nil), p.Strings...),
+		Strings: p.Strings,
 		Types:   p.Types,
 	}
 	q.Funcs = make([]*Func, 0, len(p.Funcs))

@@ -63,7 +63,7 @@ func dealII(tb testing.TB) *workload.Benchmark {
 // optimizer rewrites in place, so each flavour is optimized on a fresh
 // clone made with the timer stopped.
 func BenchmarkOptimize(b *testing.B) {
-	for _, bench := range []*workload.Benchmark{perfbenchShaped(0), dealII(b)} {
+	for _, bench := range []*workload.Benchmark{workload.ServingShapes()[0], dealII(b)} {
 		fi := instrumentFlavours(b, bench.Source)
 		b.Run(bench.Name+"/optimize", func(b *testing.B) {
 			b.ReportAllocs()
@@ -104,7 +104,7 @@ func TestOptimizeAllocBudget(t *testing.T) {
 		maxAllocs = 64
 		maxBytes  = 64 << 10
 	)
-	fi := instrumentFlavours(t, perfbenchShaped(0).Source)
+	fi := instrumentFlavours(t, workload.ServingShapes()[0].Source)
 	for j, mech := range goldenMechs {
 		const runs = 5
 		var allocs, bytes uint64

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,30 +22,6 @@ var update = flag.Bool("update", false, "rewrite testdata goldens with current r
 // goldenMechs are the mechanisms whose optimized builds the golden pins:
 // every mechanism that emits PAC traffic.
 var goldenMechs = []sti.Mechanism{sti.PARTS, sti.STWC, sti.STC, sti.STL, sti.Adaptive}
-
-// perfbenchMixes are the per-iteration instruction mixes of the serving
-// benchmark's generated request programs (deref, call, cast, arith,
-// float), one per SPEC CPU2006 suite member.
-var perfbenchMixes = [][5]int{
-	{12, 3, 6, 2, 0}, {3, 0, 1, 24, 0}, {8, 0, 2, 8, 0}, {3, 0, 1, 12, 24},
-	{1, 0, 0, 8, 40}, {6, 1, 2, 10, 0}, {10, 2, 4, 6, 4}, {7, 1, 3, 8, 6},
-	{12, 2, 6, 4, 6}, {4, 0, 1, 20, 0}, {1, 0, 0, 30, 0}, {4, 1, 1, 14, 0},
-	{5, 0, 1, 18, 0}, {1, 0, 0, 6, 60}, {10, 2, 5, 4, 0}, {5, 1, 1, 10, 0},
-	{3, 0, 1, 10, 20},
-}
-
-// perfbenchShaped renders the i-th serving-benchmark-shaped program: the
-// static shape of the benchmark's request programs with mix i.
-func perfbenchShaped(i int) *workload.Benchmark {
-	m := perfbenchMixes[i]
-	return workload.Generate(workload.Config{
-		Name: fmt.Sprintf("perfbench%d", i), Suite: "perfbench",
-		Structs: 8, PtrVars: 48, ColdFns: 6, CastRate: 25,
-		Iters: 270, ChainLen: 24,
-		DerefOps: m[0], CallOps: m[1], CastOps: m[2], ArithOps: m[3], FloatOps: m[4],
-		Seed: uint64(i)*0x9E3779B97F4A7C15 + 1,
-	})
-}
 
 // namedSource is one golden input program.
 type namedSource struct{ name, src string }
@@ -87,8 +62,7 @@ func goldenInputs(t testing.TB) []namedSource {
 		}
 		in = append(in, namedSource{"testdata/" + filepath.Base(f), string(src)})
 	}
-	for i := range perfbenchMixes {
-		b := perfbenchShaped(i)
+	for _, b := range workload.ServingShapes() {
 		in = append(in, namedSource{"perfbench/" + b.Name, b.Source})
 	}
 	return in
@@ -116,15 +90,15 @@ func TestOptimizedProgramsGolden(t *testing.T) {
 			t.Fatalf("%s: %v", ns.name, err)
 		}
 		for _, mech := range goldenMechs {
-			b, err := c.BuildMode(mech, true)
+			prog, _, stats, err := c.Derive(mech, true)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", ns.name, mech, err)
 			}
-			sum := sha256.Sum256(mir.AppendProgram(nil, b.Prog))
+			sum := sha256.Sum256(mir.AppendProgram(nil, prog))
 			got = append(got, optimizedBuild{
 				Name:   ns.name + "/" + mech.String(),
 				SHA256: hex.EncodeToString(sum[:]),
-				Stats:  *b.OptStats,
+				Stats:  *stats,
 			})
 		}
 	}

@@ -277,8 +277,8 @@ func TestSoundnessAcrossMechanisms(t *testing.T) {
 					t.Fatalf("%s: %v", mech, err)
 				}
 				if res.Err != nil {
-					b, _ := c.Build(mech)
-					t.Fatalf("%s: trapped on benign program: %v\n%s", mech, res.Err, b.Prog)
+					prog, _, _, _ := c.Derive(mech, false)
+					t.Fatalf("%s: trapped on benign program: %v\n%s", mech, res.Err, prog)
 				}
 				if res.Exit != tc.want {
 					t.Errorf("%s: exit = %d, want %d", mech, res.Exit, tc.want)

@@ -13,11 +13,11 @@ import (
 // instrumented build.
 func countIROps(t *testing.T, c *core.Compilation, mech sti.Mechanism, fn string, op mir.Op) int {
 	t.Helper()
-	b, err := c.Build(mech)
+	prog, _, _, err := c.Derive(mech, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, ok := b.Prog.Func(fn)
+	f, ok := prog.Func(fn)
 	if !ok {
 		t.Fatalf("no function %s", fn)
 	}
@@ -109,11 +109,11 @@ func TestInstrumentedIRVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mech := range append(append([]sti.Mechanism{}, sti.Mechanisms...), sti.Adaptive) {
-		b, err := c.Build(mech)
+		prog, _, _, err := c.Derive(mech, false)
 		if err != nil {
 			t.Fatalf("%s: %v", mech, err)
 		}
-		if err := b.Prog.Verify(); err != nil {
+		if err := prog.Verify(); err != nil {
 			t.Errorf("%s: %v", mech, err)
 		}
 	}
@@ -131,9 +131,9 @@ func TestDumpShowsMechanismDifferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stwcB, _ := c.Build(sti.STWC)
-	stlB, _ := c.Build(sti.STL)
-	stwc, stl := stwcB.Prog.String(), stlB.Prog.String()
+	stwcP, _, _, _ := c.Derive(sti.STWC, false)
+	stlP, _, _, _ := c.Derive(sti.STL, false)
+	stwc, stl := stwcP.String(), stlP.String()
 	if !strings.Contains(stwc, " = pac ") || !strings.Contains(stwc, " = aut ") {
 		t.Error("STWC dump missing PA ops")
 	}

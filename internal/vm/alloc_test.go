@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
@@ -127,11 +128,11 @@ char *greeting = "hello from a re-pointed machine";
 int main(void) { puts(greeting); puts("bye"); return 5; }
 `
 
-// repointCase is one cell of a warm worker's rotation: a program with
-// its own shared image and the run options that differ between cells.
+// repointCase is one cell of a warm worker's rotation: a program's
+// shared image and the run options that differ between cells.
 type repointCase struct {
 	name   string
-	prog   *mir.Program
+	img    *Image
 	opts   Options
 	prints bool // calls an allocating output builtin
 }
@@ -144,9 +145,8 @@ func repointRotation(t *testing.T) []repointCase {
 	t.Helper()
 	cell := func(name string, prog *mir.Program, pac int64) repointCase {
 		opts := DefaultOptions()
-		opts.Image = NewImage(prog)
 		opts.Cost.PAC = pac
-		return repointCase{name: name, prog: prog, opts: opts}
+		return repointCase{name: name, img: NewImage(prog), opts: opts}
 	}
 	pac := DefaultCostModel().PAC
 	greet := cell("greet-none", instrumentedProg(t, greetSrc, sti.None), pac)
@@ -165,8 +165,7 @@ func repointRotation(t *testing.T) []repointCase {
 func residentMachine(t *testing.T, prog *mir.Program) *Machine {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Image = NewImage(prog)
-	m := New(prog, opts)
+	m := New(NewImage(prog), opts)
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("warmup run: %v", err)
 	}
@@ -223,23 +222,22 @@ func TestAllocBudgetInterpreter(t *testing.T) {
 // to another one, and a warm MachineFor+Run allocates nothing. Each
 // re-pointed run must match a fresh machine's exactly.
 func TestAllocBudgetWorkerReuse(t *testing.T) {
-	prog := allocBenchProg(t)
+	img := NewImage(allocBenchProg(t))
 	opts := DefaultOptions()
-	opts.Image = NewImage(prog)
 	ws := NewWorkerState()
 
-	m := ws.MachineFor(prog, opts)
+	m := ws.MachineFor(img, opts)
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("warmup run: %v", err)
 	}
-	if again := ws.MachineFor(prog, opts); again != m {
+	if again := ws.MachineFor(img, opts); again != m {
 		t.Fatalf("MachineFor rebuilt instead of reusing the resident machine")
 	}
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("second warmup run: %v", err)
 	}
 	n := testing.AllocsPerRun(10, func() {
-		mm := ws.MachineFor(prog, opts)
+		mm := ws.MachineFor(img, opts)
 		if _, err := mm.Run(); err != nil {
 			t.Fatalf("measured run: %v", err)
 		}
@@ -262,7 +260,7 @@ func TestAllocBudgetWorkerReuse(t *testing.T) {
 		var out bytes.Buffer
 		fo := c.opts
 		fo.Output = &out
-		fresh := New(c.prog, fo)
+		fresh := New(c.img, fo)
 		exit, err := fresh.Run()
 		if err != nil {
 			t.Fatalf("%s: fresh run: %v", c.name, err)
@@ -274,7 +272,7 @@ func TestAllocBudgetWorkerReuse(t *testing.T) {
 			var out bytes.Buffer
 			ro := c.opts
 			ro.Output = &out
-			mm := ws.MachineFor(c.prog, ro)
+			mm := ws.MachineFor(c.img, ro)
 			if mm != m {
 				t.Fatalf("round %d %s: MachineFor built a new machine instead of re-pointing the resident one", round, c.name)
 			}
@@ -292,7 +290,7 @@ func TestAllocBudgetWorkerReuse(t *testing.T) {
 			if c.prints {
 				continue
 			}
-			if _, err := ws.MachineFor(c.prog, c.opts).Run(); err != nil {
+			if _, err := ws.MachineFor(c.img, c.opts).Run(); err != nil {
 				t.Fatalf("measured %s run: %v", c.name, err)
 			}
 		}
@@ -305,7 +303,7 @@ func TestAllocBudgetWorkerReuse(t *testing.T) {
 	// the memory sizes.
 	bigger := opts
 	bigger.HeapSize *= 2
-	if other := ws.MachineFor(prog, bigger); other == m {
+	if other := ws.MachineFor(img, bigger); other == m {
 		t.Fatalf("MachineFor reused the resident machine across a heap-size change")
 	}
 }
@@ -340,7 +338,7 @@ func TestFramePoisoning(t *testing.T) {
 			}
 			vars := fr.vars[:cap(fr.vars)]
 			for i := range vars {
-				vars[i] = varSlot{pc: -1, addr: poisonWord}
+				vars[i] = varSlot{v: math.MaxUint32, addr: poisonWord}
 			}
 			fr.mark = poisonWord
 			fr.fc = nil
@@ -414,13 +412,13 @@ func TestResetWipesPoisonedMemory(t *testing.T) {
 	cells := repointRotation(t)
 	a, b := cells[1], cells[2] // table (larger data), points (smaller)
 	ws := NewWorkerState()
-	ref := New(a.prog, a.opts)
+	ref := New(a.img, a.opts)
 	wantExit, err = ref.Run()
 	if err != nil {
 		t.Fatalf("reference run of %s: %v", a.name, err)
 	}
 	wantStats = modelled(ref.Stats)
-	rm := ws.MachineFor(a.prog, a.opts)
+	rm := ws.MachineFor(a.img, a.opts)
 	if _, err := rm.Run(); err != nil {
 		t.Fatalf("victim run of %s: %v", a.name, err)
 	}
@@ -433,14 +431,14 @@ func TestResetWipesPoisonedMemory(t *testing.T) {
 			t.Fatalf("poke %#x: %v", addr, err)
 		}
 	}
-	if mb := ws.MachineFor(b.prog, b.opts); mb != rm {
+	if mb := ws.MachineFor(b.img, b.opts); mb != rm {
 		t.Fatalf("switch to %s built a new machine instead of re-pointing", b.name)
 	}
 	if len(rm.Mem.segs[0].data) >= cap(rm.Mem.segs[0].data) || len(rm.Mem.segs[1].data) >= cap(rm.Mem.segs[1].data) {
 		t.Fatalf("switch to %s did not shrink the globals and strings segments", b.name)
 	}
 	assertPristine(t, rm, "re-point to "+b.name)
-	if ma := ws.MachineFor(a.prog, a.opts); ma != rm {
+	if ma := ws.MachineFor(a.img, a.opts); ma != rm {
 		t.Fatalf("switch back to %s built a new machine instead of re-pointing", a.name)
 	}
 	assertPristine(t, rm, "re-point back to "+a.name)
@@ -466,7 +464,7 @@ func assertPristine(t *testing.T, m *Machine, when string) {
 		s := &m.Mem.segs[si]
 		want := make([]byte, cap(s.data))
 		if s.base == StringsBase {
-			for i, str := range m.Prog.Strings {
+			for i, str := range m.img.strings {
 				copy(want[m.img.stringAddr[i]-StringsBase:], str)
 			}
 		}
@@ -494,8 +492,7 @@ func BenchmarkSteadyStateRun(b *testing.B) {
 		b.Fatalf("instrument: %v", err)
 	}
 	opts := DefaultOptions()
-	opts.Image = NewImage(prog)
-	m := New(prog, opts)
+	m := New(NewImage(prog), opts)
 	if _, err := m.Run(); err != nil {
 		b.Fatalf("warmup: %v", err)
 	}
@@ -527,8 +524,7 @@ int main(void) { return (int)(down(400) & 255); }
 func TestFrameSizedByCallee(t *testing.T) {
 	runAlloc := func(prog *mir.Program) uint64 {
 		opts := DefaultOptions()
-		opts.Image = NewImage(prog)
-		m := New(prog, opts)
+		m := New(NewImage(prog), opts)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		exit, err := m.Run()

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"rsti/internal/mir"
 )
 
 // chargeBytes models the cycle cost of library routines that do real
@@ -18,11 +16,11 @@ func (m *Machine) chargeBytes(n int) { m.Stats.Cycles += int64(n) }
 // builtin dispatches an extern function call. Unknown externs are a
 // program error — every extern a workload uses must either be a known
 // builtin or be registered via RegisterExtern.
-func (m *Machine) builtin(f *mir.Func, args []uint64) (uint64, error) {
-	if h, ok := m.externs[f.Name]; ok {
+func (m *Machine) builtin(name string, args []uint64) (uint64, error) {
+	if h, ok := m.externs[name]; ok {
 		return h(m, args)
 	}
-	switch f.Name {
+	switch name {
 	case "malloc":
 		return m.malloc(args[0])
 	case "free":
@@ -125,7 +123,7 @@ func (m *Machine) builtin(f *mir.Func, args []uint64) (uint64, error) {
 		}
 		return 0, nil
 	}
-	return 0, fmt.Errorf("vm: call to unimplemented extern %q", f.Name)
+	return 0, fmt.Errorf("vm: call to unimplemented extern %q", name)
 }
 
 // RegisterExtern installs a Go implementation for an extern function,
@@ -137,13 +135,17 @@ func (m *Machine) RegisterExtern(name string, fn func(m *Machine, args []uint64)
 	m.externs[name] = fn
 }
 
+// malloc is a bump allocator over the heap segment, in 16-byte blocks.
+// A request the heap cannot satisfy returns NULL, as C's malloc does,
+// and leaves the heap as it was: the program's own NULL check decides
+// what happens next.
 func (m *Machine) malloc(size uint64) (uint64, error) {
 	if size == 0 {
 		size = 1
 	}
 	size = (size + 15) &^ 15
 	if size == 0 || size > m.heapEnd-m.heapNext { // 0: the rounding wrapped
-		return 0, fmt.Errorf("vm: heap exhausted (%d bytes requested)", size)
+		return 0, nil
 	}
 	addr := m.heapNext
 	m.heapNext += size

@@ -2,8 +2,8 @@ package vm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
-	"slices"
 
 	"rsti/internal/ctypes"
 	"rsti/internal/mir"
@@ -30,7 +30,7 @@ const (
 	xFuncAddr
 
 	xAlloca    // dst = a fresh, zeroed imm-byte stack slot
-	xAllocaVar // xAlloca of a named variable's slot, recorded for VarAddr
+	xAllocaVar // xAlloca of variable a's slot, recorded for VarAddr
 
 	// dst = the value at [a], widened: 1, 2 and 4 bytes sign-extend, 4F
 	// is a float32 widened to float64. imm is the access's site.
@@ -117,7 +117,8 @@ const (
 	// traps without admitting its step, as running off the end of the
 	// block always has. xInvalid stands for an instruction the image
 	// could not compile (an unknown opcode, subcode, callee or index,
-	// which Verify rejects); executing it is an error.
+	// which Verify rejects); executing it is an error, the description
+	// Image.invalid holds at index imm.
 	xFellOff
 	xInvalid
 
@@ -183,33 +184,18 @@ type xinstr struct {
 	key       uint8 // pa.KeyID of a PA instruction
 }
 
-// funcCode is one function of an Image: where its code starts and where
-// each of its blocks starts, the block-start index that maps a code
-// offset back to its IR instruction on the cold paths. nregs and extern
-// copy the fields of fn that every call reads.
+// funcCode is one function of an Image: where its code starts, where
+// each of its blocks starts, and what a call, a trap or a lookup by
+// name reads of the function: its name, parameter count, register
+// count, extern flag and block names.
 type funcCode struct {
-	fn     *mir.Func
-	blocks []int32 // code offset of each block's first record
-	entry  int32
-	nregs  int32
-	extern bool
-}
-
-// instrAt returns the IR instruction the record at code offset pc was
-// compiled from, or nil for a record that has none (xFellOff).
-func (fc *funcCode) instrAt(pc int) *mir.Instr {
-	bi, starts := slices.BinarySearch(fc.blocks, int32(pc)) // block starts ascend strictly
-	if !starts {
-		bi--
-	}
-	if bi < 0 {
-		return nil
-	}
-	instrs := fc.fn.Blocks[bi].Instrs
-	if ii := pc - int(fc.blocks[bi]); ii < len(instrs) {
-		return &instrs[ii]
-	}
-	return nil
+	name       string
+	blocks     []int32 // code offset of each block's first record
+	blockNames []string
+	entry      int32
+	nregs      int32
+	params     int32
+	extern     bool
 }
 
 // reg narrows an IR register to a record field. Anything out of the
@@ -238,31 +224,32 @@ func codeLen(f *mir.Func) int {
 	return n
 }
 
-// compileFunc compiles f into the front of code, which starts at image
-// offset base, and returns the number of records written (codeLen(f)).
-// blocks receives each block's starting offset before any record is
-// compiled, so branches resolve forward too.
-func (img *Image) compileFunc(f *mir.Func, code []xinstr, base int32, blocks []int32, index map[string]int32) int {
+// compileFunc compiles f into the image's code and positions from
+// offset base on, and returns the number of records written
+// (codeLen(f)). blocks receives each block's starting offset before any
+// record is compiled, so branches resolve forward too.
+func (img *Image) compileFunc(f *mir.Func, base int, blocks []int32, index map[string]int32) int {
+	code := img.code[base:]
 	if len(f.Blocks) == 0 {
 		code[0] = xinstr{op: xFellOff}
 		return 1
 	}
-	pos := base
+	next := int32(base)
 	for bi, blk := range f.Blocks {
-		blocks[bi] = pos
-		pos += int32(len(blk.Instrs))
+		blocks[bi] = next
+		next += int32(len(blk.Instrs))
 		if !blk.Terminated() {
-			pos++
+			next++
 		}
 	}
-	n := int(pos - base)
+	n := int(next) - base
 	i := 0
 	for bi, blk := range f.Blocks {
-		img.compileBlock(code[i:], blk.Instrs, blocks, index)
+		img.compileBlock(f, base+i, blk.Instrs, blocks, index)
 		i += len(blk.Instrs)
 		end := n
 		if bi+1 < len(blocks) {
-			end = int(blocks[bi+1] - base)
+			end = int(blocks[bi+1]) - base
 		}
 		if i < end { // the room the first loop left for a fell-off record
 			code[i] = xinstr{op: xFellOff, imm: uint64(bi)}
@@ -272,12 +259,14 @@ func (img *Image) compileFunc(f *mir.Func, code []xinstr, base int32, blocks []i
 	return n
 }
 
-// compileBlock lowers one block's IR instructions into code, one record
-// each.
-func (img *Image) compileBlock(code []xinstr, instrs []mir.Instr, blocks []int32, index map[string]int32) {
+// compileBlock lowers one block of f into the records (and positions)
+// from offset at on, one each.
+func (img *Image) compileBlock(f *mir.Func, at int, instrs []mir.Instr, blocks []int32, index map[string]int32) {
+	code := img.code[at : at+len(instrs)]
 	inRange := func(i int64, n int) bool { return i >= 0 && i < int64(n) }
 	for ii := range instrs {
 		in, x := &instrs[ii], &code[ii]
+		img.pos[at+ii] = in.Pos
 		*x = xinstr{dst: reg(in.Dst), a: reg(in.A), b: reg(in.B), op: xInvalid}
 		switch in.Op {
 		case mir.Nop:
@@ -302,7 +291,7 @@ func (img *Image) compileBlock(code []xinstr, instrs []mir.Instr, blocks []int32
 		case mir.Alloca:
 			x.op = xAlloca
 			if in.Slot.Kind == mir.SlotVar {
-				x.op = xAllocaVar
+				x.op, x.a = xAllocaVar, reg(in.Slot.Var)
 			}
 			if in.Ty != nil {
 				x.imm = uint64((in.Ty.Size() + 7) &^ 7)
@@ -377,6 +366,11 @@ func (img *Image) compileBlock(code []xinstr, instrs []mir.Instr, blocks []int32
 			if in.Imm == 1 {
 				x.op = xPPAuthLoc
 			}
+		}
+		if x.op == xInvalid {
+			x.imm = uint64(len(img.invalid))
+			img.invalid = append(img.invalid, fmt.Sprintf("vm: %s: cannot execute %s (opcode %d, subcodes %d/%d, callee %q, imm %d)",
+				f.Name, in.Op, in.Op, in.BinSub, in.CmpSub, in.Callee, in.Imm))
 		}
 	}
 }

@@ -161,7 +161,7 @@ type formCase struct {
 
 func runForm(t *testing.T, tc formCase) {
 	t.Helper()
-	m := New(tc.prog, DefaultOptions())
+	m := New(NewImage(tc.prog), DefaultOptions())
 	if addr, _ := m.GlobalAddr("g"); tc.poke != 0 {
 		if err := m.Mem.Poke(addr, tc.poke, 8); err != nil {
 			t.Fatal(err)
@@ -571,7 +571,7 @@ func TestFellOffBlockUncharged(t *testing.T) {
 			if tc.budget > 0 {
 				opts.MaxSteps = tc.budget
 			}
-			m := New(formProg(tc.fn()), opts)
+			m := New(NewImage(formProg(tc.fn())), opts)
 			m.SetContext(tc.ctx)
 			_, err := m.Run()
 			tr, ok := AsTrap(err)

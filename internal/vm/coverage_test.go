@@ -98,7 +98,7 @@ func TestIndirectCallToCorruptedTokenTraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	m.RegisterHook(1, func(m *Machine) error {
 		addr, _ := m.GlobalAddr("h")
 		// A value inside the token segment but not a valid entry.
@@ -124,7 +124,7 @@ func TestNonCanonicalIndirectCallTraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	m.RegisterHook(1, func(m *Machine) error {
 		addr, _ := m.GlobalAddr("h")
 		return m.Mem.Poke(addr, 0xFFFF_0000_0000_0001, 8)
@@ -162,6 +162,8 @@ func TestTrapStringsAndClassification(t *testing.T) {
 	}
 }
 
+// TestHeapExhaustion: once the heap is used up, malloc returns NULL and
+// the program's own check decides the outcome; the run ends cleanly.
 func TestHeapExhaustion(t *testing.T) {
 	f, err := cminor.Frontend(`
 		int main(void) {
@@ -179,20 +181,20 @@ func TestHeapExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
-	if _, err := m.Run(); err == nil {
-		t.Error("heap exhaustion not reported")
+	m := New(NewImage(prog), DefaultOptions())
+	if exit, err := m.Run(); exit != 1 || err != nil {
+		t.Errorf("exit %d, err %v; want exit 1 through the program's NULL check", exit, err)
 	}
 }
 
 // TestMallocSizeCannotWrap: a request that wraps when rounded up to 16
-// bytes, or that would wrap the heap pointer, fails as heap exhaustion
-// and leaves the heap as it was.
+// bytes, or that would wrap the heap pointer, returns NULL and leaves
+// the heap as it was.
 func TestMallocSizeCannotWrap(t *testing.T) {
 	for _, size := range []uint64{1<<64 - 1, 1<<64 - 256} {
-		m := New(formProg(oneBlock("main", 0)), DefaultOptions())
-		if _, err := m.malloc(size); err == nil || !strings.Contains(err.Error(), "heap exhausted") {
-			t.Errorf("malloc(%#x): err = %v, want heap exhaustion", size, err)
+		m := New(NewImage(formProg(oneBlock("main", 0))), DefaultOptions())
+		if addr, err := m.malloc(size); addr != 0 || err != nil {
+			t.Errorf("malloc(%#x) = %#x, %v; want NULL and no error", size, addr, err)
 		}
 		if addr, err := m.malloc(16); err != nil || addr != HeapBase {
 			t.Errorf("malloc(16) after malloc(%#x) = %#x, %v; want the heap's first block", size, addr, err)
@@ -212,7 +214,7 @@ func TestCallNamedFunctionDirectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	got, err := m.Call("add3", 1, 2, 3)
 	if err != nil || got != 6 {
 		t.Errorf("Call = %d, %v", got, err)
@@ -231,7 +233,7 @@ func TestFuncTokenAndGlobalAddrLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	if _, ok := m.FuncToken("main"); !ok {
 		t.Error("main token missing")
 	}
@@ -258,7 +260,7 @@ func TestHookErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	m.RegisterHook(3, func(m *Machine) error {
 		return &Trap{Kind: TrapOutOfBounds, Fn: "hook", Msg: "boom"}
 	})

@@ -3,7 +3,9 @@ package vm
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
+	"rsti/internal/cminor"
 	"rsti/internal/mir"
 )
 
@@ -17,21 +19,38 @@ func PredecodeCount() int64 { return predecodeCount.Load() }
 
 // Image is the immutable execution image of one (post-optimization)
 // program: its compiled code, function entry tokens and static data
-// layout. Everything in it is read-only after construction, so one
-// Image is safely shared by every Machine executing the same program:
-// engine workers, Program.Run callers, and eval sweeps stop re-building
-// it per run. Pass it via Options.Image; a Machine built without one
-// builds a private image.
+// layout, plus the cold tables a machine reads by name or to describe a
+// trap. It keeps no reference to the program it was compiled from, so
+// a build that keeps its image lets the instrumented program go.
+// Everything in it is read-only after construction, so one Image is
+// safely shared by every Machine executing the same program: engine
+// workers, Program.Run callers, and eval sweeps stop re-building it per
+// run.
 type Image struct {
-	prog *mir.Program
-
 	// code holds every function's executable records back to back (one
-	// allocation per image); funcs indexes prog.Funcs by position, each
-	// entry viewing its run of one shared block-start arena; args holds
-	// the argument registers of every call.
+	// allocation per image); pos holds the source position of each
+	// record, read only when a trap names it. funcs indexes the
+	// program's functions by position, each entry viewing its run of
+	// one shared block arena; args holds the argument registers of every
+	// call.
 	code  []xinstr
+	pos   []cminor.Pos
 	funcs []funcCode
 	args  []uint32
+
+	// The program's string constants, globals and variables, as the
+	// program's own slices: an instrumented program shares them with
+	// the program it was instrumented from.
+	strings []string
+	globals []*mir.Global
+	vars    []*mir.VarInfo
+
+	// invalid describes each xInvalid record (its imm indexes it): the
+	// instruction the image could not compile.
+	invalid []string
+
+	// initFn and mainFn index funcs; -1 when the program has none.
+	initFn, mainFn int32
 
 	globalAddr []uint64
 	stringAddr []uint64
@@ -49,11 +68,16 @@ type Image struct {
 // NewImage panics otherwise.
 func NewImage(prog *mir.Program) *Image {
 	predecodeCount.Add(1)
-	img := &Image{prog: prog, funcs: make([]funcCode, len(prog.Funcs))}
+	img := &Image{
+		funcs:   make([]funcCode, len(prog.Funcs)),
+		strings: prog.Strings,
+		globals: prog.Globals,
+		vars:    prog.Vars,
+	}
 	img.globalAddr, img.stringAddr, img.gseg, img.sseg = dataLayout(prog)
 
 	// Pass 1: size the arenas, check register counts and index
-	// functions by name (the last of a name wins).
+	// functions by name (the last of a name wins, as in Program.ByName).
 	index := make(map[string]int32, len(prog.Funcs))
 	nCode, nBlocks := 0, 0
 	for i, f := range prog.Funcs {
@@ -68,37 +92,65 @@ func NewImage(prog *mir.Program) *Image {
 		nBlocks += len(f.Blocks)
 	}
 	img.code = make([]xinstr, nCode)
+	img.pos = make([]cminor.Pos, nCode)
 	blockPC := make([]int32, nBlocks)
+	blockNames := make([]string, nBlocks)
 
 	// Pass 2: compile each function into its run of the code arena.
 	base := 0
 	for i, f := range prog.Funcs {
 		fc := &img.funcs[i]
-		fc.fn, fc.extern = f, f.Extern
+		fc.name, fc.params, fc.extern = f.Name, int32(len(f.Params)), f.Extern
 		if f.Extern {
 			continue
 		}
-		fc.blocks = blockPC[:len(f.Blocks):len(f.Blocks)]
-		blockPC = blockPC[len(f.Blocks):]
+		nb := len(f.Blocks)
+		fc.blocks, blockPC = blockPC[:nb:nb], blockPC[nb:]
+		fc.blockNames, blockNames = blockNames[:nb:nb], blockNames[nb:]
+		for bi, blk := range f.Blocks {
+			fc.blockNames[bi] = blk.Name
+		}
 		fc.entry, fc.nregs = int32(base), int32(f.NumRegs)
-		base += img.compileFunc(f, img.code[base:], fc.entry, fc.blocks, index)
+		base += img.compileFunc(f, base, fc.blocks, index)
 	}
+	img.initFn, img.mainFn = img.lookup(mir.InitFuncName), img.lookup("main")
 	return img
+}
+
+// lookup returns the funcs index of the function called name, the last
+// of a name as in Program.ByName, or -1 when there is none.
+func (img *Image) lookup(name string) int32 {
+	for i := len(img.funcs) - 1; i >= 0; i-- {
+		if img.funcs[i].name == name {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// Bytes reports the memory the image's own tables hold: its records and
+// their source positions, the function table with its block starts and
+// names, the call arguments, the data layout and the xInvalid
+// descriptions. The string constants, globals and variables it shares
+// with its program are not counted.
+func (img *Image) Bytes() int {
+	n := int(unsafe.Sizeof(*img)) +
+		len(img.code)*int(unsafe.Sizeof(xinstr{})) +
+		len(img.pos)*int(unsafe.Sizeof(cminor.Pos{})) +
+		len(img.funcs)*int(unsafe.Sizeof(funcCode{})) +
+		len(img.args)*4 + (len(img.globalAddr)+len(img.stringAddr))*8
+	for _, fc := range img.funcs {
+		n += len(fc.blocks)*4 + len(fc.blockNames)*int(unsafe.Sizeof(""))
+	}
+	for _, d := range img.invalid {
+		n += int(unsafe.Sizeof(d)) + len(d)
+	}
+	return n
 }
 
 // funcToken is the entry token of prog.Funcs[i]: what a code pointer to
 // it looks like in memory.
 func funcToken(i int) uint64 { return FuncBase + uint64(i)*FuncStride }
-
-// funcOf returns f's compiled code, or nil when f is not in the image.
-func (img *Image) funcOf(f *mir.Func) *funcCode {
-	for i := range img.funcs {
-		if img.funcs[i].fn == f {
-			return &img.funcs[i]
-		}
-	}
-	return nil
-}
 
 // dataPad is the slack a data segment carries past its last object.
 const dataPad = 16
@@ -146,6 +198,3 @@ func CheckDataLayout(prog *mir.Program) error {
 	}
 	return nil
 }
-
-// Prog returns the program the image was built from.
-func (img *Image) Prog() *mir.Program { return img.prog }

@@ -11,6 +11,7 @@ package vm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -35,11 +36,6 @@ type Options struct {
 	// machine must then run on that worker's goroutine. Nil keeps the
 	// machine self-contained.
 	Worker *WorkerState
-
-	// Image, when non-nil and built from the same program, supplies the
-	// shared execution image so concurrent machines skip building one
-	// per run. Nil (or a mismatched program) builds one privately.
-	Image *Image
 }
 
 // DefaultOptions returns the configuration used by the experiments.
@@ -63,7 +59,6 @@ type Hook func(m *Machine) error
 
 // Machine executes one program instance.
 type Machine struct {
-	Prog *mir.Program
 	Unit *pa.Unit
 	Mem  *Memory
 
@@ -104,8 +99,7 @@ type Machine struct {
 	// arg-marshalling scratch stack — per-machine by default, shared and
 	// persistent when an engine worker supplies its WorkerState; img
 	// holds the immutable execution image (compiled code, function
-	// tokens, static data layout), shared across machines when
-	// Options.Image supplies one.
+	// tokens, static data layout), shared by every machine that runs it.
 	ws  *WorkerState
 	img *Image
 
@@ -147,22 +141,18 @@ type frame struct {
 	mark uint64 // stack watermark to restore on return
 }
 
-// varSlot is one named local's slot: the code offset of the alloca that
-// made it (VarAddr maps it back to the variable) and its address.
+// varSlot is one named local's slot: its variable (an index into the
+// image's variables) and its address.
 type varSlot struct {
-	pc   int32
+	v    uint32
 	addr uint64
 }
 
-// New builds a Machine for prog.
-func New(prog *mir.Program, opts Options) *Machine {
+// New builds a Machine that runs img.
+func New(img *Image, opts Options) *Machine {
 	ws := opts.Worker
 	if ws == nil {
 		ws = NewWorkerState()
-	}
-	img := opts.Image
-	if img == nil || img.prog != prog {
-		img = NewImage(prog)
 	}
 	m := &Machine{
 		Mem:      NewMemory(0, 0, opts.HeapSize, opts.StackSize),
@@ -180,13 +170,13 @@ func New(prog *mir.Program, opts Options) *Machine {
 // new machine and a worker's resident machine taking on its next run
 // (see WorkerState.MachineFor). Memory is wiped to its write watermarks
 // before anything else, so the resize that follows only ever hides or
-// exposes zero bytes; then the program, image, PA unit, cycle table and
-// site cache are swapped in, the data segments are sized
-// for img, and Reset restores the string constants and zeroes the
-// per-run state. Heap and stack sizes are fixed for a machine's life.
+// exposes zero bytes; then the image, PA unit, cycle table and site
+// cache are swapped in, the data segments are sized for img, and Reset
+// restores the string constants and zeroes the per-run state. Heap and
+// stack sizes are fixed for a machine's life.
 func (m *Machine) prepare(img *Image, opts Options) {
 	m.Mem.wipe()
-	m.Prog, m.img = img.prog, img
+	m.img = img
 	m.Unit = m.ws.unit(opts.PAConfig, opts.KeySeed)
 	m.cycles = opts.Cost.cycleTable()
 	if n := int(img.sites); cap(m.sites) < n {
@@ -240,7 +230,7 @@ func (m *Machine) SetOutput(w io.Writer) {
 // AllocBudget tests for the zero-allocation contract.
 func (m *Machine) Reset() {
 	m.Mem.wipe()
-	for i, str := range m.Prog.Strings {
+	for i, str := range m.img.strings {
 		b, err := m.Mem.Bytes(m.img.stringAddr[i], len(str)+1)
 		if err != nil {
 			panic(err)
@@ -349,17 +339,15 @@ func (m *Machine) RegisterHook(id int64, h Hook) { m.hooks[id] = h }
 // FuncToken returns the entry token of a function — what a code pointer
 // to it looks like in memory.
 func (m *Machine) FuncToken(name string) (uint64, bool) {
-	for i := len(m.Prog.Funcs) - 1; i >= 0; i-- {
-		if m.Prog.Funcs[i].Name == name {
-			return funcToken(i), true
-		}
+	if i := m.img.lookup(name); i >= 0 {
+		return funcToken(int(i)), true
 	}
 	return 0, false
 }
 
 // GlobalAddr returns the address of a global variable.
 func (m *Machine) GlobalAddr(name string) (uint64, bool) {
-	for i, g := range m.Prog.Globals {
+	for i, g := range m.img.globals {
 		if g.Name == name {
 			return m.img.globalAddr[i], true
 		}
@@ -373,11 +361,11 @@ func (m *Machine) GlobalAddr(name string) (uint64, bool) {
 func (m *Machine) VarAddr(fn, name string) (uint64, bool) {
 	for i := len(m.frames) - 1; i >= 0; i-- {
 		fr := m.frames[i]
-		if fr.fc.fn.Name != fn {
+		if fr.fc.name != fn {
 			continue
 		}
 		for _, vs := range fr.vars {
-			if m.Prog.Vars[fr.fc.instrAt(int(vs.pc)).Slot.Var].Name == name {
+			if int(vs.v) < len(m.img.vars) && m.img.vars[vs.v].Name == name {
 				return vs.addr, true
 			}
 		}
@@ -419,27 +407,27 @@ func (m *Machine) settle() {
 // value passed to exit()).
 func (m *Machine) Run() (int64, error) {
 	defer m.settle()
-	if initFn, ok := m.Prog.Func(mir.InitFuncName); ok {
-		if _, err := m.exec(m.img.funcOf(initFn), nil); err != nil {
+	if i := m.img.initFn; i >= 0 {
+		if _, err := m.exec(&m.img.funcs[i], nil); err != nil {
 			if m.exitCode != nil {
 				return *m.exitCode, nil
 			}
 			return 0, err
 		}
 	}
-	mainFn, ok := m.Prog.Func("main")
-	if !ok {
+	if m.img.mainFn < 0 {
 		return 0, fmt.Errorf("vm: program has no main")
 	}
+	mainFn := &m.img.funcs[m.img.mainFn]
 	// main's (zeroed) argument registers come off the shared scratch
 	// stack: the callee copies them into its frame before anything else
 	// pushes, so the watermark discipline holds and a steady-state run
 	// stays allocation-free.
 	base := len(m.ws.argScratch)
-	for range mainFn.Params {
+	for range mainFn.params {
 		m.ws.argScratch = append(m.ws.argScratch, 0)
 	}
-	ret, err := m.exec(m.img.funcOf(mainFn), m.ws.argScratch[base:])
+	ret, err := m.exec(mainFn, m.ws.argScratch[base:])
 	m.ws.argScratch = m.ws.argScratch[:base]
 	if m.exitCode != nil {
 		return *m.exitCode, nil
@@ -452,33 +440,27 @@ func (m *Machine) Run() (int64, error) {
 
 // Call invokes a named function directly (used by tests).
 func (m *Machine) Call(name string, args ...uint64) (uint64, error) {
-	f, ok := m.Prog.Func(name)
-	if !ok {
+	i := m.img.lookup(name)
+	if i < 0 {
 		return 0, fmt.Errorf("vm: no function %q", name)
 	}
 	defer m.settle()
-	return m.exec(m.img.funcOf(f), args)
+	return m.exec(&m.img.funcs[i], args)
 }
 
 type exitSentinel struct{ code int64 }
 
 func (exitSentinel) Error() string { return "exit" }
 
-func (m *Machine) trap(kind TrapKind, f *mir.Func, in *mir.Instr, format string, args ...interface{}) error {
-	t := &Trap{Kind: kind, Msg: fmt.Sprintf(format, args...)}
-	if f != nil {
-		t.Fn = f.Name
-	}
-	if in != nil {
-		t.Pos = in.Pos
-	}
-	return t
+// trap builds a trap in fc that names no instruction.
+func (m *Machine) trap(kind TrapKind, fc *funcCode, format string, args ...interface{}) error {
+	return &Trap{Kind: kind, Fn: fc.name, Msg: fmt.Sprintf(format, args...)}
 }
 
-// trapAt is trap for the instruction at code offset pc of fc: the cold
-// path that maps a record back to its IR instruction.
+// trapAt is trap for the record at code offset pc of fc, at the source
+// position of the instruction it was compiled from.
 func (m *Machine) trapAt(kind TrapKind, fc *funcCode, pc int, format string, args ...interface{}) error {
-	return m.trap(kind, fc.fn, fc.instrAt(pc), format, args...)
+	return &Trap{Kind: kind, Fn: fc.name, Pos: m.img.pos[pc], Msg: fmt.Sprintf(format, args...)}
 }
 
 // checkpoint is the step loop's slow path, taken when steps reaches
@@ -512,18 +494,14 @@ func (m *Machine) checkpoint(fc *funcCode, pc int) error {
 func (m *Machine) fellOff(fc *funcCode, c *xinstr) error {
 	m.steps--
 	name := ""
-	if c.imm < uint64(len(fc.fn.Blocks)) {
-		name = fc.fn.Blocks[c.imm].Name
+	if c.imm < uint64(len(fc.blockNames)) {
+		name = fc.blockNames[c.imm]
 	}
-	return m.trap(TrapOutOfBounds, fc.fn, nil, "fell off block %s", name)
+	return m.trap(TrapOutOfBounds, fc, "fell off block %s", name)
 }
 
 // invalid reports an xInvalid record.
-func (m *Machine) invalid(fc *funcCode, pc int) error {
-	in := fc.instrAt(pc)
-	return fmt.Errorf("vm: %s: cannot execute %s (opcode %d, subcodes %d/%d, callee %q, imm %d)",
-		fc.fn.Name, in.Op, in.Op, in.BinSub, in.CmpSub, in.Callee, in.Imm)
-}
+func (m *Machine) invalid(c *xinstr) error { return errors.New(m.img.invalid[c.imm]) }
 
 // nextCheck returns the step count of the next checkpoint: the budget
 // trip point (MaxSteps+1, saturating at math.MaxInt64) or, when a
@@ -559,10 +537,10 @@ func (m *Machine) cancelled(fc *funcCode, pc int) error {
 // discards the worker's state, and Reset empties the frame stack.
 func (m *Machine) exec(fc *funcCode, args []uint64) (uint64, error) {
 	if fc.extern {
-		return m.builtin(fc.fn, args)
+		return m.builtin(fc.name, args)
 	}
 	if len(m.frames) >= m.maxDepth {
-		return 0, m.trap(TrapStackOverflow, fc.fn, nil, "call depth %d", len(m.frames))
+		return 0, m.trap(TrapStackOverflow, fc, "call depth %d", len(m.frames))
 	}
 	fr := m.getFrame(fc)
 	copy(fr.regs, args)
@@ -614,7 +592,7 @@ func (m *Machine) run(fc *funcCode, fr *frame) (uint64, error) {
 			}
 			regs[c.dst] = addr
 			if c.op == xAllocaVar {
-				fr.vars = append(fr.vars, varSlot{int32(pc), addr})
+				fr.vars = append(fr.vars, varSlot{c.a, addr})
 			}
 
 		// One arm per access form, so the width is a constant and ld/st
@@ -879,7 +857,7 @@ func (m *Machine) run(fc *funcCode, fr *frame) (uint64, error) {
 		case xFellOff:
 			return 0, m.fellOff(fc, c)
 		default: // xInvalid
-			return 0, m.invalid(fc, pc)
+			return 0, m.invalid(c)
 		}
 		pc++
 	}

@@ -111,7 +111,7 @@ func TestPPViolationTrap(t *testing.T) {
 		{Op: mir.PPAdd, Dst: mir.NoReg, A: mir.NoReg, B: mir.NoReg, CE: 5, Mod: 222},
 	}
 	main.Blocks[0].Instrs = append(pre, main.Blocks[0].Instrs...)
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	_, err = m.Run()
 	tr, ok := AsTrap(err)
 	if !ok || tr.Kind != TrapPPViolation {

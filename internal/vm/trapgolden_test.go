@@ -54,11 +54,10 @@ func TestTrapAccountingGolden(t *testing.T) {
 			img := NewImage(prog)
 			run := func(name string, budget int64, ctx context.Context) {
 				opts := DefaultOptions()
-				opts.Image = img
 				if budget > 0 {
 					opts.MaxSteps = budget
 				}
-				m := New(prog, opts)
+				m := New(img, opts)
 				m.SetContext(ctx)
 				_, err := m.Run()
 				tr, ok := AsTrap(err)
@@ -119,7 +118,7 @@ func trapRun(t *testing.T, prog *mir.Program, budget int64, ctx context.Context)
 	if budget > 0 {
 		opts.MaxSteps = budget
 	}
-	m := New(prog, opts)
+	m := New(NewImage(prog), opts)
 	m.SetContext(ctx)
 	_, err := m.Run()
 	tr, ok := AsTrap(err)

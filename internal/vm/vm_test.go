@@ -26,7 +26,7 @@ func run(t *testing.T, src string) (int64, string) {
 	var out strings.Builder
 	opts := DefaultOptions()
 	opts.Output = &out
-	m := New(prog, opts)
+	m := New(NewImage(prog), opts)
 	ret, err := m.Run()
 	if err != nil {
 		t.Fatalf("run: %v\nprogram:\n%s", err, prog)
@@ -381,7 +381,7 @@ func TestDivideByZeroTraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	_, err = m.Run()
 	tr, ok := AsTrap(err)
 	if !ok || tr.Kind != TrapDivideByZero {
@@ -404,7 +404,7 @@ func TestWildPointerTraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	_, err = m.Run()
 	tr, ok := AsTrap(err)
 	if !ok || tr.Kind != TrapOutOfBounds {
@@ -437,7 +437,7 @@ func TestInfiniteLoopHitsBudget(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.MaxSteps = 10000
-	m := New(prog, opts)
+	m := New(NewImage(prog), opts)
 	_, err = m.Run()
 	tr, ok := AsTrap(err)
 	if !ok || tr.Kind != TrapMaxSteps {
@@ -457,7 +457,7 @@ func TestDeepRecursionTraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	_, err = m.Run()
 	tr, ok := AsTrap(err)
 	if !ok || tr.Kind != TrapStackOverflow {
@@ -480,7 +480,7 @@ func TestStatsAccumulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestHookRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	m.RegisterHook(1, func(m *Machine) error {
 		addr, ok := m.GlobalAddr("secret")
 		if !ok {
@@ -545,7 +545,7 @@ func TestVarAddrFindsStackSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	m.RegisterHook(9, func(m *Machine) error {
 		addr, ok := m.VarAddr("main", "target")
 		if !ok {
@@ -574,7 +574,7 @@ func TestRegisterExtern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	m.RegisterExtern("external_add", func(m *Machine, args []uint64) (uint64, error) {
 		return args[0] + args[1], nil
 	})
@@ -599,7 +599,7 @@ func TestUnknownExternErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(prog, DefaultOptions())
+	m := New(NewImage(prog), DefaultOptions())
 	if _, err := m.Run(); err == nil {
 		t.Error("unknown extern did not error")
 	}

@@ -1,9 +1,6 @@
 package vm
 
-import (
-	"rsti/internal/mir"
-	"rsti/internal/pa"
-)
+import "rsti/internal/pa"
 
 // WorkerState is the per-worker reusable hot-path state of a long-lived
 // execution service: the call-frame pool, the keyed PA units with their
@@ -65,26 +62,20 @@ func (ws *WorkerState) unit(cfg pa.Config, seed uint64) *pa.Unit {
 	return u
 }
 
-// MachineFor returns a machine prepared to run prog under opts. When the
+// MachineFor returns a machine prepared to run img under opts. When the
 // worker's resident machine has the requested heap and stack sizes it is
-// re-pointed at the run's image, PA unit and cost model
+// re-pointed at img, the run's PA unit and cost model
 // (see Machine.prepare for the isolation argument) and no allocation
 // happens once the worker is warm; otherwise a fresh machine is built
-// exactly as vm.New would and becomes the new resident. Requires
-// opts.Image to be the shared image for prog; without one MachineFor
-// just builds privately.
-func (ws *WorkerState) MachineFor(prog *mir.Program, opts Options) *Machine {
+// exactly as vm.New would and becomes the new resident.
+func (ws *WorkerState) MachineFor(img *Image, opts Options) *Machine {
 	opts.Worker = ws
-	img := opts.Image
-	if img == nil || img.prog != prog {
-		return New(prog, opts)
-	}
 	if m := ws.mach; m != nil &&
 		m.heapEnd == HeapBase+uint64(opts.HeapSize) && m.stackEnd == StackBase+uint64(opts.StackSize) {
 		m.prepare(img, opts)
 		return m
 	}
-	ws.mach = New(prog, opts)
+	ws.mach = New(img, opts)
 	return ws.mach
 }
 

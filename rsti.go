@@ -234,24 +234,27 @@ func (p *Program) InstrumentationStats(mech Mechanism) (*rsti.Stats, error) {
 
 // DumpIR renders the (instrumented) intermediate representation, with pac
 // and aut instructions visible — the equivalent of inspecting the paper's
-// protected binary.
+// protected binary. A build keeps only its compiled image, so each call
+// re-derives the program: it costs an instrumentation pass, and prints
+// exactly the code the build runs.
 func (p *Program) DumpIR(mech Mechanism) (string, error) {
-	b, err := p.c.Build(mech)
-	if err != nil {
-		return "", err
-	}
-	return b.Prog.String(), nil
+	return p.dump(mech, false)
 }
 
 // DumpOptimizedIR renders the intermediate representation after the PAC
 // elision optimizer processed the build: elided slots carry no pac/aut
-// chain and redundant aut instructions are gone.
+// chain and redundant aut instructions are gone. Like DumpIR, each call
+// re-derives the program (an instrumentation and an optimizer pass).
 func (p *Program) DumpOptimizedIR(mech Mechanism) (string, error) {
-	b, err := p.c.BuildMode(mech, true)
+	return p.dump(mech, true)
+}
+
+func (p *Program) dump(mech Mechanism, optimized bool) (string, error) {
+	prog, _, _, err := p.c.Derive(mech, optimized)
 	if err != nil {
 		return "", err
 	}
-	return b.Prog.String(), nil
+	return prog.String(), nil
 }
 
 // OptimizerStats exposes what the PAC elision optimizer removed from one
